@@ -342,9 +342,9 @@ func BenchmarkLPCover(b *testing.B) {
 // of K_n one by one, solving the cover LP of the union after each push,
 // then walk the last stack slot through every remaining edge (a
 // retire+add+re-solve per sibling, the FHD oracle's innermost move).
-// The warm leg keeps one lp.WarmProblem basis alive across the
-// sequence; the cold leg rebuilds each LP with cover.SolveCoverLP as
-// the pre-PR-5 oracle did.
+// The warm leg drives one cover.Incremental across the sequence (solved
+// float-first, with its lp.WarmProblem basis kept for fallbacks); the
+// cold leg rebuilds each LP with cover.SolveCoverLP.
 func BenchmarkLPWarmVsCold(b *testing.B) {
 	k := hypergraph.Clique(8)
 	grow := k.NumEdges() / 2

@@ -25,14 +25,17 @@
 // closure as a capped fallback), with the exact cover LPs memoized on
 // the interned support set and warm-started across sibling guesses; and
 // Algorithm 3's frac-decomp oracle guesses integral-plus-fractional
-// parts with trimmed witness bags. Those warm starts run on
+// parts with trimmed witness bags. Those cover LPs are solved
+// float-first (lp.FloatProblem): a float64 simplex proposes an optimum
+// and its duals, rounded to rationals, and an exact duality certificate
+// in integer arithmetic accepts them. When it fails they fall back to
 // internal/lp's incremental engine (lp.WarmProblem): alongside the
 // one-shot two-phase simplex (lp.Problem.Solve), a ≤-form maximization
 // can keep its factored basis alive across AddRow/RetireRow/
 // SetObjective edits and re-solve with a few dual-simplex pivots,
 // falling back to a cold start when the basis goes stale;
-// cover.Incremental and cover.TargetLP wrap it for the two covering-LP
-// access patterns the oracles produce. The
+// cover.Incremental and cover.TargetLP wrap both for the two
+// covering-LP access patterns the oracles produce. The
 // hypergraph core underneath is incidence-indexed: per-vertex edge
 // bitsets back edges(C), [C]-components and single-edge cover
 // detection; memo keys are interned integers; the exact-width DP and

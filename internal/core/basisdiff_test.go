@@ -24,8 +24,9 @@ import (
 // diffBasisDeepening runs the deepening loop twice over h — one shared
 // cache across levels versus a fresh cache per level — comparing the
 // decision at every level and the witness width at acceptance. Returns
-// the shared cache's stats so callers can assert warm reuse happened.
-func diffBasisDeepening(t *testing.T, name string, h *hypergraph.Hypergraph, maxK int) cover.BasisCacheStats {
+// the shared cache so callers can assert revival happened and which
+// solve path answered.
+func diffBasisDeepening(t *testing.T, name string, h *hypergraph.Hypergraph, maxK int) *cover.BasisCache {
 	t.Helper()
 	shared := cover.NewBasisCache(0)
 	for k := 1; k <= maxK; k++ {
@@ -54,13 +55,15 @@ func diffBasisDeepening(t *testing.T, name string, h *hypergraph.Hypergraph, max
 		}
 		break
 	}
-	return shared.Stats()
+	return shared
 }
 
 // TestFHDSharedBasisCacheMatchesFreshOnCorpus runs the differential over
 // every tractable instance of the mini corpus and checks that the shared
-// cache actually revived bases somewhere — a cache that never hits would
-// make the differential vacuous.
+// cache actually revived solvers somewhere — a cache that never hits
+// would make the differential vacuous — and that the float path
+// answered the cover LPs. The rational warm path behind it is guarded
+// with the float path switched off in internal/cover's revival tests.
 func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 	instances, err := corpus.LoadDir("../../testdata/corpus")
 	if err != nil {
@@ -69,7 +72,7 @@ func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 	if len(instances) == 0 {
 		t.Fatal("empty corpus")
 	}
-	ran, hits := 0, 0
+	ran, hits, float := 0, 0, 0
 	for _, in := range instances {
 		h, _, err := in.Read()
 		if err != nil {
@@ -79,14 +82,18 @@ func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 			continue
 		}
 		ran++
-		s := diffBasisDeepening(t, in.Name, h, 3)
-		hits += s.Hits
+		bc := diffBasisDeepening(t, in.Name, h, 3)
+		hits += bc.Stats().Hits
+		float += bc.WarmStats().FloatSolves
 	}
 	if ran < 10 {
 		t.Fatalf("only %d corpus instances were diffable; the gate is too tight", ran)
 	}
 	if hits == 0 {
 		t.Fatal("the shared cache never revived a warm basis across the corpus")
+	}
+	if float == 0 {
+		t.Fatal("no cover LP across the corpus was answered float-first")
 	}
 }
 
@@ -101,12 +108,16 @@ func TestFHDSharedBasisCacheMatchesFreshOnGenerators(t *testing.T) {
 		"grid2x3":    hypergraph.Grid(2, 3),
 		"hypercycle": hypergraph.HyperCycle(6, 3, 1),
 	}
-	hits := 0
+	hits, float := 0, 0
 	for name, h := range fixtures {
-		s := diffBasisDeepening(t, name, h, 3)
-		hits += s.Hits
+		bc := diffBasisDeepening(t, name, h, 3)
+		hits += bc.Stats().Hits
+		float += bc.WarmStats().FloatSolves
 	}
 	if hits == 0 {
 		t.Fatal("the shared cache never revived a warm basis across the generators")
+	}
+	if float == 0 {
+		t.Fatal("no cover LP across the generators was answered float-first")
 	}
 }

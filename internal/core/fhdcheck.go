@@ -35,8 +35,9 @@ type FHDOptions struct {
 	// seed their solves from bases retired in earlier levels. When nil
 	// the run uses a private cache. A BasisCache is not safe for
 	// concurrent use — do not share across parallel strategies; for the
-	// same reason runs with effective Parallelism > 1 ignore this field
-	// and give every worker its own pool-recycled cache.
+	// same reason runs with effective Parallelism > 1 give every worker
+	// its own cache and only fold the workers' counters into this one
+	// when the run retires.
 	Basis *cover.BasisCache
 	// Stats, when non-nil, receives the engine's run counters on
 	// completion (added, so one sink can accumulate across deepening
@@ -87,14 +88,14 @@ type fhdCands struct {
 // never materialize a single subedge. Atoms live in a pool shared
 // across scopes, so equal sets are stored once.
 //
-// The cover LPs are warm-started and memoized. Per subproblem the
-// oracle borrows an incremental solver (cover.Incremental) whose
-// simplex basis tracks the enumeration stack: moving to a sibling S
-// retires and adds a handful of cover rows and re-solves from the
-// previous optimal basis, falling back to a cold start only when the
-// basis goes stale. On top of that, solves are memoized on the interned
-// support set — the bag is determined by S, so sibling subproblems that
-// re-derive the same support skip the LP outright.
+// The cover LPs are solved float-first and memoized. Per subproblem the
+// oracle borrows an incremental solver (cover.Incremental) that mirrors
+// the enumeration stack; each solve is proposed in float64 and accepted
+// by an exact duality certificate, and only when that fails does the
+// solver's rational simplex re-solve from its previous optimal basis.
+// On top of that, solves are memoized on the interned support set — the
+// bag is determined by S, so sibling subproblems that re-derive the same
+// support skip the LP outright.
 type fhdOracle struct {
 	h          *hypergraph.Hypergraph
 	k          *big.Rat
@@ -111,8 +112,8 @@ type fhdOracle struct {
 	supports hypergraph.Interner      // interned chosen-atom id sets
 	lpMemo   map[int]map[int]*big.Rat // support id → atom id → weight (nil = no cover ≤ k)
 
-	basis       *cover.BasisCache // warm LP solvers, keyed by retired scope
-	pooledBasis bool              // basis came from fhdBasisPool; return it on release
+	basis  *cover.BasisCache // warm LP solvers, keyed by retired scope
+	parent *cover.BasisCache // parallel workers: the run's cache, absorbing basis on retire
 
 	// Scratch buffers; each is fully consumed before the engine recurses.
 	scope, b hypergraph.VertexSet
@@ -234,12 +235,11 @@ func (o *fhdOracle) dynAware() {}
 // oracleErr exposes the sideways failure to parallel runs (errOracle).
 func (o *fhdOracle) oracleErr() error { return o.err }
 
-// releasePooled returns a pool-drawn BasisCache when the run retires
-// (poolable; parallel workers only — serial runs own or borrow theirs).
-func (o *fhdOracle) releasePooled() {
-	if o.pooledBasis && o.basis != nil {
-		fhdBasisPool.Put(o.basis)
-		o.basis = nil
+// retire folds a parallel worker's private cache into the run's
+// (retirer), so the LP solves the worker ran reach the caller's counters.
+func (o *fhdOracle) retire() {
+	if o.parent != nil {
+		o.parent.Absorb(o.basis)
 	}
 }
 
@@ -323,7 +323,7 @@ func (o *fhdOracle) extend(e *engine, cd *fhdCands) {
 }
 
 // check tests one guess S of atoms: B = ⋃S on scratch, the cheap bag
-// conditions first, then the (memoized, warm-started) cover LP.
+// conditions first, then the (memoized) cover LP.
 func (o *fhdOracle) check(e *engine, inc *cover.Incremental, c, w hypergraph.VertexSet, chosen []fhdAtom, try func(engineGuess) bool) bool {
 	e.poll()
 	o.b = o.b.Reset()
@@ -364,9 +364,8 @@ func (o *fhdOracle) check(e *engine, inc *cover.Incremental, c, w hypergraph.Ver
 // coverWithin solves min Σ γ(a) over a ∈ chosen subject to covering
 // ⋃chosen, memoized on the interned support set, and returns the atom
 // weights if the optimum is ≤ k (ρ*(H_λu) ≤ k in the terms of Theorem
-// 5.22), nil otherwise. On a memo miss the borrowed incremental solver
-// — whose row stack already mirrors chosen — re-solves from the sibling
-// guess's optimal basis.
+// 5.22), nil otherwise. On a memo miss the borrowed incremental solver,
+// whose stack already mirrors chosen, solves it.
 func (o *fhdOracle) coverWithin(inc *cover.Incremental, chosen []fhdAtom) map[int]*big.Rat {
 	o.cset = o.cset.Reset()
 	for _, a := range chosen {
@@ -393,7 +392,7 @@ func (o *fhdOracle) coverWithin(inc *cover.Incremental, chosen []fhdAtom) map[in
 // Theorem 5.22: a *strict* hypertree-style decomposition is sought in
 // which every bag is the union ⋃Su of at most ⌊k·d⌋ subedge atoms
 // (d = degree(h), Lemma 5.6) admitting a fractional edge cover of weight
-// ≤ k by those atoms (checked by exact warm-started LP). The candidate
+// ≤ k by those atoms (checked by an exactly certified LP). The candidate
 // atoms are generated lazily per subproblem scope from the f⁺ closure;
 // see fhdOracle. On success a width-≤k FHD of h is returned; otherwise
 // nil.
@@ -447,12 +446,12 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 // when aug is nil, the augmented pool otherwise).
 func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, opt FHDOptions, done <-chan struct{}) (*decomp.Decomp, error) {
 	if par := effectiveParallelism(opt.Parallelism, h); par > 1 {
-		// Each worker gets its own pool-recycled BasisCache: a shared one
-		// is not concurrency-safe, and the warm-basis prefix matching is
-		// sound across runs, so recycling keeps the warm-start win.
+		// Each worker gets its own BasisCache — a shared one is not
+		// concurrency-safe — and hands its counters to opt.Basis when
+		// the run retires.
 		return runParallel(h, func() coverOracle {
-			o := newFHDOracle(h, aug, k, maxSupport, maxSets, fhdBasisPool.Get().(*cover.BasisCache))
-			o.pooledBasis = true
+			o := newFHDOracle(h, aug, k, maxSupport, maxSets, nil)
+			o.parent = opt.Basis
 			return o
 		}, done, par, opt.Budget, opt.Stats)
 	}

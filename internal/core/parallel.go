@@ -35,7 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 )
@@ -204,9 +203,9 @@ func (sm *shardedMemo) put(key engineKey, n *engineNode) {
 // closure caps); parRun collects the first error across workers.
 type errOracle interface{ oracleErr() error }
 
-// poolable is implemented by oracles holding pooled resources to hand
+// retirer is implemented by oracles holding per-worker state to hand
 // back when their run retires (the FHD oracle's per-worker BasisCache).
-type poolable interface{ releasePooled() }
+type retirer interface{ retire() }
 
 // parRun owns the shared state of one parallel engine run.
 type parRun struct {
@@ -305,16 +304,16 @@ func (p *parRun) oracleErr() error {
 
 // finish retires the run: stops the cancel watcher, flushes every
 // worker engine's counters (routed into p.stats by flushStats) plus the
-// contention tally, publishes the aggregate once, and returns pooled
-// oracle resources.
+// contention tally, publishes the aggregate once, and lets oracles hand
+// back per-worker state (retirer).
 func (p *parRun) finish() {
 	if p.stopWatch != nil {
 		close(p.stopWatch)
 	}
 	for _, e := range p.engines {
 		e.finish()
-		if po, ok := e.oracle.(poolable); ok {
-			po.releasePooled()
+		if r, ok := e.oracle.(retirer); ok {
+			r.retire()
 		}
 	}
 	p.stats.ParShardContention += p.contention.Load()
@@ -445,6 +444,10 @@ func (e *engine) parChildren(bag hypergraph.VertexSet, g engineGuess, comps []*h
 	}
 	var results []cres
 	var wg sync.WaitGroup
+	// A cancellation panic out of the inline head below must not leave
+	// the offloaded siblings running past the run's finish, which
+	// recycles their engines; they unwind at their next poll.
+	defer wg.Wait()
 	if split < n {
 		results = make([]cres, n-split)
 		e.stats.ParWorkers += int64(n - split)
@@ -560,10 +563,3 @@ func (e *engine) memoPut(key engineKey, n *engineNode) {
 func (e *engine) specSkip(firstAtom bool, i int) bool {
 	return firstAtom && e.rootActive && e.specStride > 1 && i%e.specStride != e.specOffset
 }
-
-// fhdBasisPool recycles per-worker BasisCaches across parallel FHD
-// runs, like dynPool does DynComponents: the cover LP depends only on
-// the pushed atom sets, never on hypergraph identity, and BasisCache's
-// prefix matching is sound across runs with disagreeing atom pools, so
-// a cache warmed by one run seeds the next regardless of instance.
-var fhdBasisPool = sync.Pool{New: func() any { return cover.NewBasisCache(0) }}

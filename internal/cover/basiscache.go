@@ -34,14 +34,15 @@ const DefaultBasisCacheBytes int64 = 16 << 20
 
 // BasisCache holds retired Incremental solvers keyed by scope.
 type BasisCache struct {
-	intern hypergraph.Interner
-	slots  []basisEntry // scope id → entry (nil ic = none)
-	queue  []basisRef   // Put order, for oldest-first eviction
-	bytes  int64
-	max    int64
-	free   []*Incremental // displaced/evicted solvers, for cold reuse
-	seq    int
-	stats  BasisCacheStats
+	intern   hypergraph.Interner
+	slots    []basisEntry // scope id → entry (nil ic = none)
+	queue    []basisRef   // Put order, for oldest-first eviction
+	bytes    int64
+	max      int64
+	free     []*Incremental // displaced/evicted solvers, for cold reuse
+	seq      int
+	stats    BasisCacheStats
+	absorbed lp.WarmStats // LP counters of absorbed caches
 }
 
 type basisEntry struct {
@@ -134,14 +135,22 @@ func (bc *BasisCache) Stats() BasisCacheStats {
 	return s
 }
 
-// WarmStats sums the LP engine counters over every solver the cache
-// retains — warm slots plus the cold free list. Solvers are never
-// dropped (Put routes displaced and evicted ones to the free list, and
-// WarmProblem.Reset preserves its stats), so after all borrowed solvers
-// are Put back this is the cumulative warm-path mix of every Solve the
-// cache's solvers ran.
+// Absorb adds the LP solve counters of every solver o retains to bc's
+// WarmStats, so they also account for the solves o's borrowers ran. A
+// parallel FHD run folds its workers' private caches into the caller's
+// this way. o itself is left unchanged.
+func (bc *BasisCache) Absorb(o *BasisCache) {
+	bc.absorbed.Add(o.WarmStats())
+}
+
+// WarmStats sums the LP solve counters over every solver the cache
+// retains — warm slots plus the cold free list — and over absorbed
+// caches. Solvers are never dropped (Put routes displaced and evicted
+// ones to the free list, and Reset preserves their stats), so after all
+// borrowed solvers are Put back this is the cumulative solve-path mix
+// of every Solve the cache's solvers ran.
 func (bc *BasisCache) WarmStats() lp.WarmStats {
-	var ws lp.WarmStats
+	ws := bc.absorbed
 	for i := range bc.slots {
 		if ic := bc.slots[i].ic; ic != nil {
 			ws.Add(ic.Stats())

@@ -40,8 +40,13 @@ func TestBasisCacheHitRevivesSameSolver(t *testing.T) {
 // Incremental.sync: a revived solver carries synced rows from a previous
 // enumeration, and a new enumeration may recycle the same keys for
 // DIFFERENT atom sets (pool ids are per engine run). The set-equality
-// prefix check must retire the stale rows instead of reusing them.
+// prefix check must retire the stale rows instead of reusing them. Only
+// the rational path syncs rows, so that run is the one that guards it.
 func TestBasisCacheRevivalWithRecycledKeys(t *testing.T) {
+	eachPath(t, func(t *testing.T, _ bool) { testBasisCacheRevivalWithRecycledKeys(t) })
+}
+
+func testBasisCacheRevivalWithRecycledKeys(t *testing.T) {
 	bc := NewBasisCache(0)
 	scope := hypergraph.SetOf(0, 1, 2, 3, 4, 5)
 

@@ -87,38 +87,65 @@ func (f Fractional) Clone() Fractional {
 //
 // The LP is solved through its dual, max Σ_v y_v with Σ_{v ∈ e_j} y_v ≤ 1:
 // the ≤-form starts the simplex on a slack basis — no artificial
-// variables, no phase 1, roughly half the exact rational pivots of the
-// primal form — and the optimal x is read off the dual slack reduced
-// costs, exact by strong duality over the rationals.
+// variables, no phase 1 — and the optimal x is read off the dual
+// values. It is solved float-first (lp.FloatProblem); when the exact
+// duality certificate fails, the rational simplex answers instead.
 func SolveCoverLP(h *hypergraph.Hypergraph, edges []int, target hypergraph.VertexSet) (*big.Rat, []*big.Rat) {
 	vs := target.Vertices()
 	if len(vs) == 0 {
 		return new(big.Rat), make([]*big.Rat, len(edges))
 	}
+	var fp lp.FloatProblem
+	fp.Reset(len(edges), len(vs))
+	for j := range vs {
+		fp.SetObjective(j, 1)
+	}
+	covered := make([]bool, len(vs))
+	for i, e := range edges {
+		es := h.Edge(e)
+		for idx, v := range vs {
+			if es.Has(v) {
+				fp.SetCoef(i, idx, 1)
+				covered[idx] = true
+			}
+		}
+		fp.SetRHS(i, 1)
+	}
+	for _, c := range covered {
+		if !c {
+			return nil, nil // uncoverable vertex: the dual is unbounded
+		}
+	}
+	if floatFirst && fp.Solve() {
+		x := make([]*big.Rat, len(edges))
+		for i := range x {
+			x[i] = fp.Dual(i, new(big.Rat))
+		}
+		return fp.Value(new(big.Rat)), x
+	}
+	return solveCoverRational(h, edges, vs)
+}
+
+// solveCoverRational is SolveCoverLP's exact fallback: the same dual
+// LP through the rational two-phase simplex.
+func solveCoverRational(h *hypergraph.Hypergraph, edges []int, vs []int) (*big.Rat, []*big.Rat) {
 	one := lp.RI(1)
 	p := lp.NewProblem(len(vs))
 	p.Minimize = false
 	for j := range vs {
 		p.SetObjective(j, one)
 	}
-	covered := make([]bool, len(vs))
 	coef := make([]*big.Rat, len(vs))
 	for _, e := range edges {
 		es := h.Edge(e)
 		for idx, v := range vs {
 			if es.Has(v) {
 				coef[idx] = one
-				covered[idx] = true
 			} else {
 				coef[idx] = nil
 			}
 		}
 		p.AddConstraint(coef, lp.LE, one)
-	}
-	for _, c := range covered {
-		if !c {
-			return nil, nil // uncoverable vertex: the dual is unbounded
-		}
 	}
 	s, err := p.Solve()
 	if err != nil || s.Status != lp.Optimal {

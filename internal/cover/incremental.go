@@ -8,16 +8,48 @@ package cover
 // with the LP minimizing the cover weight of that union by exactly the
 // stacked atoms. TargetLP serves Algorithm 3's Ws enumeration: a fixed
 // scope of vertices whose ρ*(target) is queried for a drifting target
-// set, with edge rows accumulated on demand. Both keep the simplex
-// basis of the previous optimum alive in an lp.WarmProblem, so
-// neighbouring solves cost a few pivots instead of a cold start.
+// set, with edge rows accumulated on demand.
+//
+// Both answer float-first: every Solve builds the current LP in an
+// lp.FloatProblem and accepts its answer when the exact duality
+// certificate holds. Only when it does not do they fall back to the
+// rational lp.WarmProblem, which keeps the simplex basis of its last
+// optimum alive so neighbouring fallbacks cost a few pivots instead of
+// a cold start. The warm problem is synced lazily, at fallback time,
+// from the state it last expressed, so float solves leave it untouched
+// and it stays correct however many of them ran in between.
 
 import (
 	"math/big"
+	"math/bits"
 
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
 )
+
+// floatFirst routes solves through the float path first. Only tests
+// clear it, to exercise the rational warm path on its own.
+var floatFirst = true
+
+// appendMembers appends the members of a bitset (a VertexSet or an
+// EdgeSet's words) to dst in ascending order.
+func appendMembers(dst []int, words []uint64) []int {
+	for w, word := range words {
+		for word != 0 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return dst
+}
+
+// growRats returns a slice of at least n rationals, reusing r.
+func growRats(r []big.Rat, n int) []big.Rat {
+	if cap(r) < n {
+		return make([]big.Rat, n)
+	}
+	return r[:n]
+}
 
 // Incremental solves the cover LPs of a DFS over candidate atoms: after
 // Push/Pop edits, Solve computes min Σ γ(a) over the pushed atoms
@@ -36,6 +68,17 @@ type Incremental struct {
 	coef    []*big.Rat
 	one     *big.Rat
 	zero    *big.Rat
+
+	// Float path: the LP is rebuilt from the desired stack per Solve,
+	// over the union's vertices only (col maps a vertex to its column).
+	fp          lp.FloatProblem
+	union       hypergraph.VertexSet
+	col         []int
+	members     []int
+	val         big.Rat
+	duals       []big.Rat
+	fromFloat   bool // the last Solve was answered by the float path
+	floatSolves int
 }
 
 // incAtom is one stacked atom: the caller's key (used to detect shared
@@ -73,6 +116,9 @@ func (ic *Incremental) Reset(scope hypergraph.VertexSet) {
 	}
 	for j, v := range ic.scope {
 		ic.varOf[v] = j
+	}
+	for len(ic.col) < need {
+		ic.col = append(ic.col, 0)
 	}
 	ic.wp.Reset(len(ic.scope))
 	ic.desired = ic.desired[:0]
@@ -120,8 +166,9 @@ func (ic *Incremental) Retarget() {
 // ApproxBytes is a flat estimate of the memory ic retains, for cache
 // budgeting (see lp.WarmProblem.ApproxBytes).
 func (ic *Incremental) ApproxBytes() int64 {
-	b := ic.wp.ApproxBytes()
-	b += int64(len(ic.scope)+len(ic.varOf)+len(ic.refs)+len(ic.coef)) * 8
+	b := ic.wp.ApproxBytes() + ic.fp.ApproxBytes()
+	b += int64(len(ic.scope)+len(ic.varOf)+len(ic.refs)+len(ic.coef)+len(ic.col)+cap(ic.members)) * 8
+	b += int64(cap(ic.duals)) * 48
 	b += int64(cap(ic.desired)+cap(ic.synced)) * 48
 	return b
 }
@@ -194,6 +241,10 @@ func (ic *Incremental) sync() {
 // per-atom weights afterwards. Solve never fails on a non-empty stack:
 // the union is covered by giving every atom weight 1.
 func (ic *Incremental) Solve() *big.Rat {
+	if ic.fromFloat = floatFirst && ic.solveFloat(); ic.fromFloat {
+		ic.floatSolves++
+		return &ic.val
+	}
 	ic.sync()
 	st, err := ic.wp.Solve()
 	if err != nil || st != lp.Optimal {
@@ -202,14 +253,61 @@ func (ic *Incremental) Solve() *big.Rat {
 	return ic.wp.Value()
 }
 
+// solveFloat builds the desired stack's cover LP over the union's
+// vertices and solves it float-first, storing the certified optimum and
+// per-atom weights on success.
+func (ic *Incremental) solveFloat() bool {
+	ic.union = ic.union.Reset()
+	for _, a := range ic.desired {
+		ic.union = ic.union.UnionInPlace(a.set)
+	}
+	ic.members = appendMembers(ic.members[:0], ic.union)
+	for j, v := range ic.members {
+		ic.col[v] = j
+	}
+	m, n := len(ic.desired), len(ic.members)
+	ic.fp.Reset(m, n)
+	for j := 0; j < n; j++ {
+		ic.fp.SetObjective(j, 1)
+	}
+	for i, a := range ic.desired {
+		ic.members = appendMembers(ic.members[:0], a.set)
+		for _, v := range ic.members {
+			ic.fp.SetCoef(i, ic.col[v], 1)
+		}
+		ic.fp.SetRHS(i, 1)
+	}
+	if !ic.fp.Solve() {
+		return false
+	}
+	ic.fp.Value(&ic.val)
+	ic.duals = growRats(ic.duals, m)
+	for i := range ic.duals {
+		ic.fp.Dual(i, &ic.duals[i])
+	}
+	return true
+}
+
 // Dual returns the cover weight of the i-th stacked atom at the last
 // Solve, owned by the solver.
 func (ic *Incremental) Dual(i int) *big.Rat {
+	if ic.fromFloat {
+		return &ic.duals[i]
+	}
 	return ic.wp.RowDual(ic.synced[i].rowID)
 }
 
-// Stats exposes the underlying engine counters.
-func (ic *Incremental) Stats() lp.WarmStats { return ic.wp.Stats() }
+// Stats exposes the solve counters: the warm engine's, plus the solves
+// the float path answered.
+func (ic *Incremental) Stats() lp.WarmStats { return withFloat(ic.wp.Stats(), ic.floatSolves) }
+
+// withFloat adds n float-first solves to a warm engine's counters; they
+// count in both Solves and FloatSolves.
+func withFloat(ws lp.WarmStats, n int) lp.WarmStats {
+	ws.Solves += n
+	ws.FloatSolves += n
+	return ws
+}
 
 // TargetLP answers ρ*(target) queries for drifting targets inside a
 // fixed scope: Solve diffs the requested target against the previous
@@ -232,6 +330,16 @@ type TargetLP struct {
 	coef    []*big.Rat
 	one     *big.Rat
 	zero    *big.Rat
+
+	// Float path: rows are the edges meeting the target, columns the
+	// target's vertices (col maps a vertex to its column).
+	fp          lp.FloatProblem
+	col         []int
+	members     []int
+	rowEdges    []int
+	ebuf        hypergraph.EdgeSet
+	val, dual   big.Rat
+	floatSolves int
 }
 
 // NewTargetLP returns a TargetLP for ρ* queries over targets ⊆ scope in
@@ -258,6 +366,9 @@ func (tl *TargetLP) Reset(h *hypergraph.Hypergraph, scope hypergraph.VertexSet) 
 	}
 	for j, v := range tl.scope {
 		tl.varOf[v] = j
+	}
+	for len(tl.col) < h.NumVertices() {
+		tl.col = append(tl.col, 0)
 	}
 	tl.wp.Reset(len(tl.scope))
 	tl.target = tl.target.Reset()
@@ -303,8 +414,14 @@ func (tl *TargetLP) addVertex(v int) {
 
 // Solve computes ρ*(ws) and an optimal fractional cover over the edges
 // of h, or (nil, nil) if some target vertex lies in no edge. ws must be
-// a subset of the scope.
+// a subset of the scope. The returned weight is owned by the solver
+// (copy before the next call); the cover is the caller's.
 func (tl *TargetLP) Solve(ws hypergraph.VertexSet) (*big.Rat, Fractional) {
+	if floatFirst {
+		if w, g, ok := tl.solveFloat(ws); ok {
+			return w, g
+		}
+	}
 	// Diff the previous target against the requested one.
 	tl.target.ForEach(func(v int) bool {
 		if !ws.Has(v) {
@@ -338,5 +455,48 @@ func (tl *TargetLP) Solve(ws hypergraph.VertexSet) (*big.Rat, Fractional) {
 	return tl.wp.Value(), g
 }
 
-// Stats exposes the underlying engine counters.
-func (tl *TargetLP) Stats() lp.WarmStats { return tl.wp.Stats() }
+// solveFloat answers Solve float-first: ρ*(ws) over the edges meeting
+// ws, restricted to ws — columns outside the target carry objective 0
+// and non-negative coefficients, so dropping them keeps the optimum.
+// It reports false when the certificate fails and the warm path must
+// answer.
+func (tl *TargetLP) solveFloat(ws hypergraph.VertexSet) (*big.Rat, Fractional, bool) {
+	tl.members = appendMembers(tl.members[:0], ws)
+	for j, v := range tl.members {
+		if tl.h.IncidentEdges(v).Count() == 0 {
+			return nil, nil, true
+		}
+		tl.col[v] = j
+	}
+	n := len(tl.members)
+	tl.ebuf = tl.h.EdgesIntersectingSet(ws, tl.ebuf)
+	tl.rowEdges = appendMembers(tl.rowEdges[:0], tl.ebuf)
+	tl.fp.Reset(len(tl.rowEdges), n)
+	for j := 0; j < n; j++ {
+		tl.fp.SetObjective(j, 1)
+	}
+	for i, e := range tl.rowEdges {
+		ed := tl.h.Edge(e)
+		for w := 0; w < len(ed) && w < len(ws); w++ {
+			for word := ed[w] & ws[w]; word != 0; word &= word - 1 {
+				tl.fp.SetCoef(i, tl.col[w*64+bits.TrailingZeros64(word)], 1)
+			}
+		}
+		tl.fp.SetRHS(i, 1)
+	}
+	if !tl.fp.Solve() {
+		return nil, nil, false
+	}
+	tl.floatSolves++
+	g := Fractional{}
+	for i, e := range tl.rowEdges {
+		if d := tl.fp.Dual(i, &tl.dual); d.Sign() > 0 {
+			g[e] = new(big.Rat).Set(d)
+		}
+	}
+	return tl.fp.Value(&tl.val), g, true
+}
+
+// Stats exposes the solve counters: the warm engine's, plus the solves
+// the float path answered.
+func (tl *TargetLP) Stats() lp.WarmStats { return withFloat(tl.wp.Stats(), tl.floatSolves) }

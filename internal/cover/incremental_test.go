@@ -9,10 +9,67 @@ import (
 	"hypertree/internal/lp"
 )
 
+// setFloatFirst sets the float-path seam for the rest of the test: on,
+// solves answer float-first as in production; off, every solve takes
+// the rational warm path, which stays the fallback and must stay right
+// on its own.
+func setFloatFirst(t *testing.T, on bool) {
+	t.Helper()
+	old := floatFirst
+	floatFirst = on
+	t.Cleanup(func() { floatFirst = old })
+}
+
+// eachPath runs f once per solve path as a subtest.
+func eachPath(t *testing.T, f func(t *testing.T, float bool)) {
+	for _, float := range []bool{true, false} {
+		name := "rational"
+		if float {
+			name = "float"
+		}
+		t.Run(name, func(t *testing.T) {
+			setFloatFirst(t, float)
+			f(t, float)
+		})
+	}
+}
+
+// checkPathTaken asserts that the solves of st went where the seam sent
+// them: all float-first with the seam on (the certificate never failed
+// on these small covering LPs), and through the warm engine, resuming
+// warm at least once, with it off.
+func checkPathTaken(t *testing.T, st lp.WarmStats, float bool, what string) {
+	t.Helper()
+	if st.Solves != st.ColdStarts+st.NoopSolves+st.PrimalSolves+st.DualSolves+st.FloatSolves {
+		t.Fatalf("%s: solve paths do not partition the solves: %+v", what, st)
+	}
+	if float && (st.FloatSolves == 0 || st.FloatSolves != st.Solves) {
+		t.Fatalf("%s: float path answered %d of %d solves", what, st.FloatSolves, st.Solves)
+	}
+	if !float && (st.FloatSolves != 0 || st.WarmSolves == 0) {
+		t.Fatalf("%s never took the warm path: %+v", what, st)
+	}
+}
+
+// rationalRho is ρ*(ws) by the rational simplex alone (nil when some
+// vertex of ws lies in no edge): the exact reference the float-first
+// and warm paths are both checked against.
+func rationalRho(h *hypergraph.Hypergraph, ws hypergraph.VertexSet) *big.Rat {
+	if ws.IsEmpty() {
+		return new(big.Rat)
+	}
+	w, _ := solveCoverRational(h, h.EdgesIntersecting(ws), ws.Vertices())
+	return w
+}
+
 // TestIncrementalMatchesSolveCoverLP walks a random DFS of atom stacks
-// and compares every warm solve against the one-shot SolveCoverLP on an
-// equivalent hypergraph.
+// and compares every solve against the one-shot rational cover LP on an
+// equivalent hypergraph, on both solve paths.
 func TestIncrementalMatchesSolveCoverLP(t *testing.T) {
+	eachPath(t, testIncrementalMatchesSolveCoverLP)
+}
+
+func testIncrementalMatchesSolveCoverLP(t *testing.T, float bool) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := hypergraph.RandomBIP(rng, 8, 6, 4, 2)
@@ -45,7 +102,7 @@ func TestIncrementalMatchesSolveCoverLP(t *testing.T) {
 				union = union.UnionInPlace(atoms[ai])
 				es = append(es, i)
 			}
-			want, x := SolveCoverLP(ref, es, union)
+			want, _ := solveCoverRational(ref, es, union.Vertices())
 			if want == nil {
 				t.Fatal("reference cover LP failed")
 			}
@@ -85,7 +142,6 @@ func TestIncrementalMatchesSolveCoverLP(t *testing.T) {
 			if bad {
 				t.Fatalf("seed %d: dual weights do not cover the union", seed)
 			}
-			_ = x
 		}
 
 		var stack []int
@@ -105,16 +161,18 @@ func TestIncrementalMatchesSolveCoverLP(t *testing.T) {
 			}
 		}
 		walk(3)
-		if st := ic.Stats(); st.WarmSolves == 0 {
-			t.Fatal("DFS never took the warm path")
-		}
+		checkPathTaken(t, ic.Stats(), float, "DFS")
 	}
 }
 
 // TestTargetLPMatchesFractionalEdgeCover drifts a target set around a
-// random hypergraph and compares every warm ρ*(target) against the
-// one-shot FractionalEdgeCover.
+// random hypergraph and compares every ρ*(target) against the one-shot
+// rational cover LP, on both solve paths.
 func TestTargetLPMatchesFractionalEdgeCover(t *testing.T) {
+	eachPath(t, testTargetLPMatchesFractionalEdgeCover)
+}
+
+func testTargetLPMatchesFractionalEdgeCover(t *testing.T, float bool) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := hypergraph.RandomBIP(rng, 9, 6, 3, 2)
@@ -130,7 +188,7 @@ func TestTargetLPMatchesFractionalEdgeCover(t *testing.T) {
 				ws.Add(v)
 			}
 			gotW, gotG := tl.Solve(ws)
-			wantW, _ := FractionalEdgeCover(h, ws)
+			wantW := rationalRho(h, ws)
 			if (gotW == nil) != (wantW == nil) {
 				t.Fatalf("seed %d: solvability mismatch on %v", seed, ws)
 			}
@@ -148,15 +206,17 @@ func TestTargetLPMatchesFractionalEdgeCover(t *testing.T) {
 				t.Fatalf("seed %d: cover misses target vertices", seed)
 			}
 		}
-		if st := tl.Stats(); st.WarmSolves == 0 {
-			t.Fatal("target drift never took the warm path")
-		}
+		checkPathTaken(t, tl.Stats(), float, "target drift")
 	}
 }
 
 // TestTargetLPUncoverable: a vertex in no edge must be reported as
 // uncoverable, and recoverably so once it leaves the target.
 func TestTargetLPUncoverable(t *testing.T) {
+	eachPath(t, func(t *testing.T, _ bool) { testTargetLPUncoverable(t) })
+}
+
+func testTargetLPUncoverable(t *testing.T) {
 	h := hypergraph.New()
 	a := h.Vertex("a")
 	b := h.Vertex("b")

@@ -8,8 +8,14 @@ import (
 )
 
 // Solve only at a fraction of DFS nodes, so sync spans multiple pushes
-// and pops at once (as the oracle's memo hits cause in practice).
+// and pops at once (as the oracle's memo hits cause in practice). Under
+// the float path sync runs only on fallbacks, so the rational run is
+// the one that exercises multi-step syncs.
 func TestIncrementalSparseSolves(t *testing.T) {
+	eachPath(t, func(t *testing.T, _ bool) { testIncrementalSparseSolves(t) })
+}
+
+func testIncrementalSparseSolves(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := hypergraph.RandomBIP(rng, 10, 8, 4, 2)
@@ -35,7 +41,7 @@ func TestIncrementalSparseSolves(t *testing.T) {
 				union = union.UnionInPlace(atoms[ai])
 				es = append(es, i)
 			}
-			want, _ := SolveCoverLP(ref, es, union)
+			want, _ := solveCoverRational(ref, es, union.Vertices())
 			if got == nil || want == nil || got.Cmp(want) != 0 {
 				t.Fatalf("seed %d stack %v: got %v want %v", seed, stack, got, want)
 			}

@@ -10,7 +10,10 @@ import (
 // Problem.Solve, then replays objective toggles, row additions and row
 // retirements on a WarmProblem, cross-checking every warm re-solve
 // against a fresh cold solve and verifying the exact primal/dual
-// optimality certificates over the rationals. The CI parser-fuzz job
+// optimality certificates over the rationals. Every step also solves
+// the same LP float-first (FloatProblem): whenever its certificate
+// accepts, the optimum must equal the rational one exactly and its
+// duals must be a feasible dual of that weight. The CI parser-fuzz job
 // runs a short pass of this alongside the corpus decoder fuzzers.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{3, 3, 1, 1, 1, 0, 1, 2, 3})
@@ -105,6 +108,7 @@ func crossCheck(t *testing.T, w *WarmProblem) {
 	if w.Value().Cmp(s.Value) != 0 {
 		t.Fatalf("warm value %v ≠ cold value %v", w.Value().RatString(), s.Value.RatString())
 	}
+	crossCheckFloat(t, w, s.Value)
 	// Exact certificates: X primal-feasible and worth Value, duals ≥ 0,
 	// dual-feasible, and dual objective equal to Value (strong duality).
 	val := new(big.Rat)
@@ -148,6 +152,58 @@ func crossCheck(t *testing.T, w *WarmProblem) {
 		}
 		if lhs.Cmp(w.obj[j]) < 0 {
 			t.Fatalf("dual infeasible at variable %d: %v < %v", j, lhs, w.obj[j])
+		}
+	}
+}
+
+// crossCheckFloat solves w's current LP float-first and, when the
+// certificate accepts, checks the answer against the rational optimum
+// want: equal value, and duals x ≥ 0 with Aᵀx ≥ c and b·x = want. Under
+// degeneracy the duals may differ from the rational engine's, so they
+// are checked for validity, not equality.
+func crossCheckFloat(t *testing.T, w *WarmProblem, want *big.Rat) {
+	t.Helper()
+	var fp FloatProblem
+	fp.Reset(len(w.rows), w.nVars)
+	for j := 0; j < w.nVars; j++ {
+		fp.SetObjective(j, w.obj[j].Num().Int64())
+	}
+	for i, r := range w.rows {
+		for j, c := range r.coef {
+			if c != nil {
+				fp.SetCoef(i, j, c.Num().Int64())
+			}
+		}
+		fp.SetRHS(i, r.rhs.Num().Int64())
+	}
+	if !fp.Solve() {
+		return
+	}
+	if got := fp.Value(new(big.Rat)); got.Cmp(want) != 0 {
+		t.Fatalf("float-first value %v ≠ rational %v", got.RatString(), want.RatString())
+	}
+	var term big.Rat
+	dualVal := new(big.Rat)
+	x := make([]*big.Rat, len(w.rows))
+	for i, r := range w.rows {
+		x[i] = fp.Dual(i, new(big.Rat))
+		if x[i].Sign() < 0 {
+			t.Fatalf("float-first dual %d negative: %v", i, x[i])
+		}
+		dualVal.Add(dualVal, term.Mul(x[i], r.rhs))
+	}
+	if dualVal.Cmp(want) != 0 {
+		t.Fatalf("float-first dual objective %v ≠ optimum %v", dualVal, want)
+	}
+	for j := 0; j < w.nVars; j++ {
+		lhs := new(big.Rat)
+		for i, r := range w.rows {
+			if j < len(r.coef) && r.coef[j] != nil {
+				lhs.Add(lhs, term.Mul(x[i], r.coef[j]))
+			}
+		}
+		if lhs.Cmp(w.obj[j]) < 0 {
+			t.Fatalf("float-first dual infeasible at variable %d: %v < %v", j, lhs, w.obj[j])
 		}
 	}
 }

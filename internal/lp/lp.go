@@ -1,15 +1,21 @@
-// Package lp implements an exact linear-program solver over rational
-// numbers (math/big.Rat) using the two-phase simplex method with Bland's
-// anti-cycling pivot rule.
+// Package lp implements exact linear programming over rational numbers
+// (math/big.Rat): a two-phase simplex with Bland's anti-cycling pivot
+// rule (Problem), an incremental warm-started variant for ≤-form
+// maximizations (WarmProblem), and a float-first solver for the same
+// shape with integer data (FloatProblem).
 //
 // The paper's algorithms repeatedly decide questions of the form
 // "does this vertex set have a fractional edge cover of weight ≤ k?"
-// (Section 2.2). Floating-point LP cannot decide such threshold questions
-// reliably — fhw(H) ≤ 2 versus fhw(H) > 2 is exactly the NP-hard boundary
-// of Theorem 3.2 — so this solver substitutes exact rational arithmetic
-// for the external LP solver a production system would wrap. Simplex with
-// Bland's rule always terminates; it is not worst-case polynomial, but the
-// covering LPs used here are small and benign.
+// (Section 2.2). Such threshold questions must be answered exactly —
+// fhw(H) ≤ 2 versus fhw(H) > 2 is exactly the NP-hard boundary of
+// Theorem 3.2 — so no answer here rests on floating point alone.
+// Floating point may propose: FloatProblem runs the simplex in float64
+// and rounds the optimum and its duals to rationals, and an exact
+// duality certificate checked in integer arithmetic decides whether
+// that answer is accepted. When the certificate fails, the rational
+// simplex answers instead. Simplex with Bland's rule always terminates;
+// it is not worst-case polynomial, but the covering LPs used here are
+// small and benign.
 package lp
 
 import (

@@ -45,8 +45,10 @@ import (
 // feasible, primal simplex re-optimization), DualSolves (dual feasible,
 // dual simplex back to primal feasibility). A warm dual attempt that
 // trips its pivot cap falls back cold and is counted in ColdStarts, not
-// DualSolves, so ColdStarts + NoopSolves + PrimalSolves + DualSolves ==
-// Solves.
+// DualSolves. A WarmProblem never sets FloatSolves: callers that try a
+// FloatProblem first (internal/cover) count its certified answers
+// there and in Solves, so in every aggregate ColdStarts + NoopSolves +
+// PrimalSolves + DualSolves + FloatSolves == Solves.
 type WarmStats struct {
 	Solves       int // Solve calls
 	ColdStarts   int // solves that rebuilt the tableau from the slack basis
@@ -54,6 +56,7 @@ type WarmStats struct {
 	NoopSolves   int // warm solves whose basis was already optimal
 	PrimalSolves int // warm solves finished by the primal simplex
 	DualSolves   int // warm solves finished by the dual simplex
+	FloatSolves  int // solves answered float-first with an exact certificate
 	PrimalPivots int
 	DualPivots   int
 }
@@ -66,6 +69,7 @@ func (s *WarmStats) Add(o WarmStats) {
 	s.NoopSolves += o.NoopSolves
 	s.PrimalSolves += o.PrimalSolves
 	s.DualSolves += o.DualSolves
+	s.FloatSolves += o.FloatSolves
 	s.PrimalPivots += o.PrimalPivots
 	s.DualPivots += o.DualPivots
 }

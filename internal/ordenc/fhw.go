@@ -3,9 +3,9 @@ package ordenc
 // fhw.go — the LP-hybrid fractional path. The SAT core only fixes an
 // elimination ordering and its fill-in arcs (no weight variables exist:
 // fractional covers are not usefully expressible in CNF); each decoded
-// bag is then priced exactly by the warm LP engine — ρ*(B), the
-// fractional edge-cover number — through a cover.BasisCache so repeat
-// scopes warm-start. Orderings whose priced width exceeds the target
+// bag is then priced exactly — ρ*(B), the fractional edge-cover number,
+// solved float-first with an exact certificate — by a cover.Incremental
+// borrowed from a cover.BasisCache. Orderings whose priced width exceeds the target
 // are excised with blocking clauses over the offending vertex's arcs.
 //
 // Blocking clauses are threshold-specific (a bag too wide for k may be

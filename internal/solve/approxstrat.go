@@ -15,7 +15,6 @@ import (
 	"hypertree/internal/approx"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/lp"
 	"hypertree/internal/telemetry"
 )
 
@@ -57,7 +56,7 @@ func runApproxLogN(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt 
 	d, st, err := approx.LogN(ctx, bh, approx.Options{Integral: opt.Measure == GHW})
 	if st != nil {
 		mApproxSepRetries.Add(int64(st.SepRetries))
-		flushApproxLP(tr, st.Warm)
+		flushLP(tr, st.Warm)
 		tr.AddCounters(telemetry.Counters{ApproxRuns: 1, ApproxSepRetries: int64(st.SepRetries)})
 	}
 	if err != nil {
@@ -93,7 +92,7 @@ func improveWitness(ctx context.Context, bh *hypergraph.Hypergraph, r *race, bas
 	})
 	if st != nil {
 		mApproxImprovePasses.Add(int64(st.Passes))
-		flushApproxLP(tr, st.Warm)
+		flushLP(tr, st.Warm)
 		tr.AddCounters(telemetry.Counters{ApproxImprovePasses: int64(st.Passes)})
 		if st.Passes > 0 {
 			tr.Eventf("approx_improve", "block=%d passes=%d pruned=%d repriced=%d splits=%d",
@@ -122,23 +121,4 @@ func strategyFailure(ctx context.Context, tr *telemetry.Trace, blk int, name str
 	}
 	mStrategyErrors.With(name).Inc()
 	tr.Eventf("strategy_error", "%s block=%d: %v", name, blk, err)
-}
-
-// flushApproxLP folds an approx rung's warm-LP aggregates into the
-// process-wide LP path counters and, when present, the request trace.
-// Mirrors flushBasis for loops that own a bare TargetLP instead of a
-// basis cache.
-func flushApproxLP(tr *telemetry.Trace, ws lp.WarmStats) {
-	mLPSolves.With("cold").Add(int64(ws.ColdStarts))
-	mLPSolves.With("noop").Add(int64(ws.NoopSolves))
-	mLPSolves.With("primal").Add(int64(ws.PrimalSolves))
-	mLPSolves.With("dual").Add(int64(ws.DualSolves))
-	if tr == nil {
-		return
-	}
-	tr.AddCounters(telemetry.Counters{
-		LPSolves: int64(ws.Solves), LPCold: int64(ws.ColdStarts),
-		LPNoop: int64(ws.NoopSolves), LPPrimal: int64(ws.PrimalSolves),
-		LPDual: int64(ws.DualSolves),
-	})
 }

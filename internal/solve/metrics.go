@@ -14,6 +14,7 @@ package solve
 import (
 	"hypertree/internal/core"
 	"hypertree/internal/cover"
+	"hypertree/internal/lp"
 	"hypertree/internal/ordenc"
 	"hypertree/internal/telemetry"
 )
@@ -43,7 +44,7 @@ var (
 		"warm bases dropped by the byte budget")
 
 	mLPSolves = telemetry.Default().NewCounterVec("hg_lp_solves_total",
-		"cover-LP solves by warm path", "path")
+		"cover-LP solves by path: float-first or a warm-engine path", "path")
 
 	mSATSolves = telemetry.Default().NewCounter("hg_sat_solves_total",
 		"CDCL solver calls issued by the sat-ord strategy")
@@ -135,28 +136,21 @@ func engineCounters(es *core.EngineStats) telemetry.Counters {
 }
 
 // flushBasis publishes a retired deepening loop's basis-cache and
-// warm-LP aggregates: always into the process-wide counters, plus — with
+// cover-LP aggregates: always into the process-wide counters, plus — with
 // the loop's engine sink — into the trace when the request has one. The
 // basis cache retains every solver it ever handed out (displaced and
-// evicted ones land on its free list), so its WarmStats are cumulative
-// over the loop.
+// evicted ones land on its free list, parallel workers' caches are
+// absorbed into it), so its WarmStats are cumulative over the loop.
 func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache, es *core.EngineStats) {
 	bs := basis.Stats()
-	ws := basis.WarmStats()
 	mBasisHits.Add(int64(bs.Hits))
 	mBasisMisses.Add(int64(bs.Misses))
 	mBasisEvictions.Add(int64(bs.Evictions))
-	mLPSolves.With("cold").Add(int64(ws.ColdStarts))
-	mLPSolves.With("noop").Add(int64(ws.NoopSolves))
-	mLPSolves.With("primal").Add(int64(ws.PrimalSolves))
-	mLPSolves.With("dual").Add(int64(ws.DualSolves))
+	flushLP(tr, basis.WarmStats())
 	if tr == nil {
 		return
 	}
 	c := telemetry.Counters{
-		LPSolves: int64(ws.Solves), LPCold: int64(ws.ColdStarts),
-		LPNoop: int64(ws.NoopSolves), LPPrimal: int64(ws.PrimalSolves),
-		LPDual:    int64(ws.DualSolves),
 		BasisHits: int64(bs.Hits), BasisMisses: int64(bs.Misses),
 		BasisEvictions: int64(bs.Evictions),
 	}
@@ -167,6 +161,22 @@ func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache, es *core.EngineSta
 		c.EngineParContention = es.ParShardContention
 	}
 	tr.AddCounters(c)
+}
+
+// flushLP publishes a retired loop's cover-LP path mix into the
+// process-wide hg_lp_solves_total and, when present, the request trace.
+// The paths partition the solves.
+func flushLP(tr *telemetry.Trace, ws lp.WarmStats) {
+	mLPSolves.With("float").Add(int64(ws.FloatSolves))
+	mLPSolves.With("cold").Add(int64(ws.ColdStarts))
+	mLPSolves.With("noop").Add(int64(ws.NoopSolves))
+	mLPSolves.With("primal").Add(int64(ws.PrimalSolves))
+	mLPSolves.With("dual").Add(int64(ws.DualSolves))
+	tr.AddCounters(telemetry.Counters{
+		LPSolves: int64(ws.Solves), LPFloat: int64(ws.FloatSolves),
+		LPCold: int64(ws.ColdStarts), LPNoop: int64(ws.NoopSolves),
+		LPPrimal: int64(ws.PrimalSolves), LPDual: int64(ws.DualSolves),
+	})
 }
 
 // flushSAT publishes a retired sat-ord strategy run's solver aggregates

@@ -365,11 +365,11 @@ func deepenFHDCheck(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt
 	if tr != nil {
 		es = &core.EngineStats{}
 	}
-	// The retired loop's basis-cache and warm-LP aggregates feed the
+	// The retired loop's basis-cache and cover-LP aggregates feed the
 	// process counters (and the trace) even on early return. Parallel
-	// levels recycle per-worker pooled caches instead of this one (the
-	// cache is not concurrency-safe), so its aggregates then stay at
-	// whatever the serial levels accumulated.
+	// levels give each worker a private cache (this one is not
+	// concurrency-safe) and absorb the workers' counters into it when
+	// the level retires.
 	defer func() { flushBasis(tr, basis, es) }()
 	fopt := core.FHDOptions{Basis: basis, Stats: es, Parallelism: opt.Parallelism, Budget: budget}
 	for k := r.snapshotLower(); k <= maxK; k++ {

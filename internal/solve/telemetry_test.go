@@ -2,6 +2,7 @@ package solve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"hypertree/internal/hypergraph"
@@ -58,31 +59,41 @@ func TestSolveTracedHW(t *testing.T) {
 }
 
 // TestDeepenFHDTrace drives the fhd-check loop directly (no racing
-// strategies) and checks the warm-LP, basis-cache and engine counters
-// it flushes into the trace.
+// strategies) and checks the cover-LP, basis-cache and engine counters
+// it flushes into the trace — serially, and with parallel workers whose
+// private basis caches must fold their LP solves into the loop's.
 func TestDeepenFHDTrace(t *testing.T) {
-	bctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := &race{cancel: cancel}
-	r.res.lower = lp.RI(1)
-	tr := telemetry.NewTrace()
-	deepenFHDCheck(bctx, hypergraph.Clique(3), r, Options{}, 4, tr, 0, nil)
-	if r.res.upper == nil {
-		t.Fatal("fhd-check found no witness")
-	}
-	sum := tr.Summary()
-	if traj := sum.KTrajectory("fhd-check"); len(traj) != 2 || traj[0] != 1 || traj[1] != 2 {
-		t.Fatalf("fhd-check k-trajectory = %v, want [1 2]", traj)
-	}
-	c := sum.Counters
-	if c.LPSolves == 0 || c.LPSolves != c.LPCold+c.LPNoop+c.LPPrimal+c.LPDual {
-		t.Fatalf("LP path mix does not partition the solves: %+v", c)
-	}
-	if c.BasisHits+c.BasisMisses == 0 {
-		t.Fatalf("basis cache counters missing: %+v", c)
-	}
-	if c.EngineSubproblems == 0 || c.DynResets == 0 {
-		t.Fatalf("engine counters missing: %+v", c)
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			bctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			r := &race{cancel: cancel}
+			r.res.lower = lp.RI(1)
+			tr := telemetry.NewTrace()
+			deepenFHDCheck(bctx, hypergraph.Clique(3), r, Options{Parallelism: par}, 4, tr, 0, nil)
+			if r.res.upper == nil {
+				t.Fatal("fhd-check found no witness")
+			}
+			sum := tr.Summary()
+			if traj := sum.KTrajectory("fhd-check"); len(traj) != 2 || traj[0] != 1 || traj[1] != 2 {
+				t.Fatalf("fhd-check k-trajectory = %v, want [1 2]", traj)
+			}
+			c := sum.Counters
+			if c.LPSolves == 0 || c.LPSolves != c.LPFloat+c.LPCold+c.LPNoop+c.LPPrimal+c.LPDual {
+				t.Fatalf("LP path mix does not partition the solves: %+v", c)
+			}
+			if c.LPFloat == 0 {
+				t.Fatalf("no cover LP was answered float-first: %+v", c)
+			}
+			// Parallel workers borrow from private caches; only their LP
+			// counts fold into the loop's, not their borrow hits/misses.
+			if par == 1 && c.BasisHits+c.BasisMisses == 0 {
+				t.Fatalf("basis cache counters missing: %+v", c)
+			}
+			if c.EngineSubproblems == 0 || c.DynResets == 0 {
+				t.Fatalf("engine counters missing: %+v", c)
+			}
+		})
 	}
 }
 

@@ -61,8 +61,8 @@ type Event struct {
 // Counters is the per-request aggregate snapshot: what the solve's
 // engine runs, cover LPs and caches did, summed over every strategy and
 // block of the request. Field groups mirror the process-wide metrics
-// (OBSERVABILITY.md): engine memo behavior, DynComponents reuse, warm-LP
-// path mix, and the basis- and result-cache hit/miss pairs.
+// (OBSERVABILITY.md): engine memo behavior, DynComponents reuse, cover-LP
+// path mix (float-first or one of the warm paths), and the basis- and result-cache hit/miss pairs.
 type Counters struct {
 	EngineSubproblems int64 `json:"engine_subproblems,omitempty"`
 	EngineMemoHits    int64 `json:"engine_memo_hits,omitempty"`
@@ -78,6 +78,7 @@ type Counters struct {
 	LPNoop   int64 `json:"lp_noop,omitempty"`
 	LPPrimal int64 `json:"lp_primal,omitempty"`
 	LPDual   int64 `json:"lp_dual,omitempty"`
+	LPFloat  int64 `json:"lp_float,omitempty"`
 
 	BasisHits      int64 `json:"basis_hits,omitempty"`
 	BasisMisses    int64 `json:"basis_misses,omitempty"`
@@ -116,6 +117,7 @@ func (c *Counters) add(o Counters) {
 	c.LPNoop += o.LPNoop
 	c.LPPrimal += o.LPPrimal
 	c.LPDual += o.LPDual
+	c.LPFloat += o.LPFloat
 	c.BasisHits += o.BasisHits
 	c.BasisMisses += o.BasisMisses
 	c.BasisEvictions += o.BasisEvictions
@@ -276,8 +278,8 @@ func (s *Summary) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  parallel: workers=%d spec_canceled=%d shard_contention=%d\n",
 			c.EngineParWorkers, c.EngineParSpecCanceled, c.EngineParContention)
 	}
-	fmt.Fprintf(w, "  lp: solves=%d cold=%d noop=%d primal=%d dual=%d\n",
-		c.LPSolves, c.LPCold, c.LPNoop, c.LPPrimal, c.LPDual)
+	fmt.Fprintf(w, "  lp: solves=%d float=%d cold=%d noop=%d primal=%d dual=%d\n",
+		c.LPSolves, c.LPFloat, c.LPCold, c.LPNoop, c.LPPrimal, c.LPDual)
 	fmt.Fprintf(w, "  caches: basis=%d/%d (evict %d) result=%d/%d\n",
 		c.BasisHits, c.BasisHits+c.BasisMisses, c.BasisEvictions,
 		c.ResultCacheHits, c.ResultCacheHits+c.ResultCacheMisses)
