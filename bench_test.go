@@ -411,8 +411,8 @@ func BenchmarkE07FPTInIntersectionWidth(b *testing.B) {
 
 // BenchmarkEngineIncrementality — PR 6: the engine's incremental
 // connectivity and warm-basis reuse on Check(·,k)-dominated runs. The
-// "deepen" pair drives the iterative-deepening FHD loop of
-// solve.deepenFHDCheck (reject at k=1, accept at k=2) with a fresh
+// "deepen" pair drives an iterative-deepening CheckFHD loop (reject at
+// k=1, accept at k=2, as `hgwidth -check` levels do) with a fresh
 // cover.BasisCache per level versus one shared across levels, exposing
 // the cross-level warm-basis effect; the decision legs pin the
 // steady-state cost of the HD/GHD guess loops that now ride
@@ -523,8 +523,47 @@ func BenchmarkEngineParallel(b *testing.B) {
 // the engine's subedge-based deepening on mid-size grids (24–28
 // vertices). Both legs run the full ghw deepening sweep — reject every
 // level below 3, accept at 3 — which is exactly the race the portfolio
-// stages; the SAT legs keep one incremental solver across levels.
+// stages; the SAT legs keep one incremental solver across levels. The
+// fhw leg runs the LP-hybrid sweep the fhw portfolio stages on grid
+// 4×5: integer levels from 2 until one accepts, then RefineBelow down
+// to the exact width 3; it reports the CEGAR rounds' blocking clauses,
+// priced bags and solver conflicts per op next to time and allocations.
 func BenchmarkSATOrdering(b *testing.B) {
+	b.Run("grid4x5/fhw", func(b *testing.B) {
+		const fhw = 3
+		g := hypergraph.Grid(4, 5)
+		b.ReportAllocs()
+		var st ordenc.Stats
+		for i := 0; i < b.N; i++ {
+			s, err := ordenc.NewFHWSearch(g, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var w *big.Rat
+			for k := int64(2); w == nil; k++ {
+				if _, w, err = s.CheckLevel(nil, lp.RI(k)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for {
+				d, w2, err := s.RefineBelow(nil, w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d == nil {
+					break
+				}
+				w = w2
+			}
+			if w.Cmp(lp.RI(fhw)) != 0 {
+				b.Fatalf("fhw(grid4x5) = %v, want %d", w, fhw)
+			}
+			st = s.Stats()
+		}
+		b.ReportMetric(float64(st.Blocked), "blocked/op")
+		b.ReportMetric(float64(st.PricedBags), "priced/op")
+		b.ReportMetric(float64(st.Conflicts), "conflicts/op")
+	})
 	for _, tc := range []struct {
 		name       string
 		rows, cols int

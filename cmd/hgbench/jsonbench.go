@@ -7,9 +7,9 @@ package main
 // PR text can cite committed BENCH_*.json records instead of pasted
 // terminal output. The benchmark set mirrors the engine-incrementality
 // rows of bench_test.go: decision checks over the grid family for the
-// three measures, plus the FHD deepening loop run cold (a fresh basis
-// cache per level) and shared (one cache across levels, the
-// solve.deepenFHDCheck wiring) to expose the cross-level warm-basis
+// three measures, plus an FHD deepening loop run cold (a fresh basis
+// cache per level) and shared (one cache across levels, as
+// FHDOptions.Basis allows) to expose the cross-level warm-basis
 // effect as a first-class measurement. The GHWDeepen pairs race the
 // sat-ord incremental CDCL sweep against the engine's Check(GHD,k)
 // deepening on the same mid-size grids.

@@ -2,7 +2,7 @@ package core_test
 
 // Differential tests for the PR-6 cross-scope warm-basis cache: an
 // iterative-deepening sequence of CheckFHD levels sharing one
-// cover.BasisCache (the solve.deepenFHDCheck wiring) must decide — and
+// cover.BasisCache through FHDOptions.Basis must decide — and
 // weigh — exactly like the same sequence with a fresh cache per level.
 // The cover LP is k-independent (k only thresholds the optimum), so a
 // warm basis revived from another level or another DFS scope can steer
@@ -11,6 +11,8 @@ package core_test
 // mirroring the PR-5 lazy-vs-eager pattern in fhddiff_test.go.
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"hypertree/internal/core"
@@ -99,7 +101,7 @@ func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 
 // TestFHDSharedBasisCacheMatchesFreshOnGenerators runs the differential
 // over generator families whose deepening spans at least two levels, so
-// cross-level revival (the deepenFHDCheck sharing pattern) is exercised,
+// cross-level revival (one cache shared across levels) is exercised,
 // not just cross-scope revival within one run.
 func TestFHDSharedBasisCacheMatchesFreshOnGenerators(t *testing.T) {
 	fixtures := map[string]*hypergraph.Hypergraph{
@@ -119,5 +121,49 @@ func TestFHDSharedBasisCacheMatchesFreshOnGenerators(t *testing.T) {
 	}
 	if float == 0 {
 		t.Fatal("no cover LP across the generators was answered float-first")
+	}
+}
+
+// TestCheckFHDBasisCacheCounters deepens CheckFHDCtx on the triangle
+// (reject at k=1, accept at k=2: fhw = 3/2) through one caller-owned
+// BasisCache, serially and with two workers, and checks the LP counters
+// the cache reports. Parallel workers solve in private caches and never
+// borrow from the caller's, so every solve it counts at Parallelism 2
+// arrived through the retire-time Absorb.
+func TestCheckFHDBasisCacheCounters(t *testing.T) {
+	h := hypergraph.Clique(3)
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			basis := cover.NewBasisCache(0)
+			es := &core.EngineStats{}
+			opt := core.FHDOptions{Basis: basis, Stats: es, Parallelism: par}
+			for k := 1; k <= 2; k++ {
+				d, err := core.CheckFHDCtx(context.Background(), h, lp.RI(int64(k)), opt)
+				if err != nil {
+					t.Fatalf("k=%d: %v", k, err)
+				}
+				if (d != nil) != (k == 2) {
+					t.Fatalf("k=%d: accepted=%v, want accept only at 2", k, d != nil)
+				}
+			}
+			ws := basis.WarmStats()
+			if ws.Solves == 0 || ws.Solves != ws.FloatSolves+ws.ColdStarts+ws.NoopSolves+ws.PrimalSolves+ws.DualSolves {
+				t.Fatalf("LP path mix does not partition the solves: %+v", ws)
+			}
+			if ws.FloatSolves == 0 {
+				t.Fatalf("no cover LP was answered float-first: %+v", ws)
+			}
+			bs := basis.Stats()
+			switch {
+			case par == 1 && bs.Hits+bs.Misses == 0:
+				t.Fatalf("serial run never borrowed from the cache: %+v", bs)
+			case par > 1 && (es.ParWorkers == 0 || bs.Hits+bs.Misses != 0):
+				t.Fatalf("parallel run: workers=%d, caller-cache borrows=%d, want >0 and 0",
+					es.ParWorkers, bs.Hits+bs.Misses)
+			}
+			if es.Subproblems == 0 || es.DynResets == 0 {
+				t.Fatalf("engine counters missing: %+v", *es)
+			}
+		})
 	}
 }

@@ -25,8 +25,7 @@ package core
 // recycle across runs through a package-level sync.Pool — so a warmed
 // Check(·,k) run settles at a small constant number of allocations
 // (pinned in alloc_test.go). The FHD oracle's cover LPs warm-start
-// across scopes and runs through cover.BasisCache (see FHDOptions.Basis
-// and solve.deepenFHDCheck).
+// across scopes and runs through cover.BasisCache (see FHDOptions.Basis).
 
 import (
 	"sync"

@@ -120,8 +120,9 @@ func (f *FHWSearch) assumeBlocks(t *big.Rat, strict bool) []cdcl.Lit {
 }
 
 // block installs a guarded blocking clause excising every ordering in
-// which vertex i keeps all its current arcs (bag(i) ⊇ bag).
-func (f *FHWSearch) block(i int, bag hypergraph.VertexSet, rho *big.Rat) {
+// which vertex i keeps all its current arcs (bag(i) ⊇ bag), and returns
+// its guard.
+func (f *FHWSearch) block(i int, bag hypergraph.VertexSet, rho *big.Rat) cdcl.Lit {
 	g := cdcl.Lit(f.enc.s.NewVar())
 	lits := []cdcl.Lit{g}
 	bag.ForEach(func(j int) bool {
@@ -133,6 +134,7 @@ func (f *FHWSearch) block(i int, bag hypergraph.VertexSet, rho *big.Rat) {
 	f.enc.s.AddClause(lits...)
 	f.blocks = append(f.blocks, guardedBlock{guard: g, rho: rho})
 	f.stats.Blocked++
+	return g
 }
 
 // solveBelow runs the CEGAR loop at one width threshold: solve the SAT
@@ -141,11 +143,18 @@ func (f *FHWSearch) block(i int, bag hypergraph.VertexSet, rho *big.Rat) {
 // block the offending bags and repeat. Returns the witness and its
 // exact priced width, (nil, nil, nil) when no ordering clears the
 // threshold, or ErrCanceled.
+//
+// The guard assumptions are derived from the recorded ρ* once per call.
+// A block installed during the loop is offending at t by construction,
+// hence active, so its ¬guard is appended in installation order: the
+// solver sees exactly the sequence assumeBlocks(t, strict) would
+// rebuild, without re-comparing every block's ρ* each round.
 func (f *FHWSearch) solveBelow(done <-chan struct{}, t *big.Rat, strict bool) (*decomp.Decomp, *big.Rat, error) {
 	e := f.enc
+	assume := f.assumeBlocks(t, strict)
 	for {
 		prev := e.s.Stats()
-		st := e.s.SolveUnder(done, f.assumeBlocks(t, strict)...)
+		st := e.s.SolveUnder(done, assume...)
 		f.stats.addSolver(prev, e.s.Stats())
 		switch st {
 		case cdcl.Canceled:
@@ -166,7 +175,7 @@ func (f *FHWSearch) solveBelow(done <-chan struct{}, t *big.Rat, strict bool) (*
 		}
 		for i := 0; i < e.n; i++ {
 			if c := rhos[i].Cmp(t); c > 0 || (strict && c == 0) {
-				f.block(i, bags[i], rhos[i])
+				assume = append(assume, -f.block(i, bags[i], rhos[i]))
 				offending++
 			}
 		}

@@ -135,32 +135,21 @@ func engineCounters(es *core.EngineStats) telemetry.Counters {
 	}
 }
 
-// flushBasis publishes a retired deepening loop's basis-cache and
-// cover-LP aggregates: always into the process-wide counters, plus — with
-// the loop's engine sink — into the trace when the request has one. The
-// basis cache retains every solver it ever handed out (displaced and
-// evicted ones land on its free list, parallel workers' caches are
-// absorbed into it), so its WarmStats are cumulative over the loop.
-func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache, es *core.EngineStats) {
+// flushBasis publishes a retired loop's basis-cache and cover-LP
+// aggregates: always into the process-wide counters, plus into the
+// trace when the request has one. The basis cache retains every solver
+// it ever handed out (displaced and evicted ones land on its free
+// list), so its WarmStats are cumulative over the loop.
+func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache) {
 	bs := basis.Stats()
 	mBasisHits.Add(int64(bs.Hits))
 	mBasisMisses.Add(int64(bs.Misses))
 	mBasisEvictions.Add(int64(bs.Evictions))
 	flushLP(tr, basis.WarmStats())
-	if tr == nil {
-		return
-	}
-	c := telemetry.Counters{
+	tr.AddCounters(telemetry.Counters{
 		BasisHits: int64(bs.Hits), BasisMisses: int64(bs.Misses),
 		BasisEvictions: int64(bs.Evictions),
-	}
-	if es != nil {
-		c.EngineSubproblems, c.EngineMemoHits = es.Subproblems, es.MemoHits
-		c.DynResets, c.DynSeeded = es.DynResets, es.DynSeeded
-		c.EngineParWorkers, c.EngineParSpecCanceled = es.ParWorkers, es.ParSpecCanceled
-		c.EngineParContention = es.ParShardContention
-	}
-	tr.AddCounters(c)
+	})
 }
 
 // flushLP publishes a retired loop's cover-LP path mix into the

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hypertree/internal/core"
-	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
@@ -31,11 +30,13 @@ import (
 //	      iterative deepening; sat-ord incremental ordering-encoding
 //	      deepening (internal/ordenc) on blocks within its size gate.
 //	fhw:  fractional clique lower bound; exact elimination DP for small
-//	      blocks; min-fill FHD as a fast upper bound; Check(FHD,k)
-//	      deepening over integer levels for rational-width witnesses;
-//	      sat-ord LP-hybrid (SAT fixes orderings, the warm LP prices
-//	      bags) which refines accepted levels down to the exact
-//	      fractional width.
+//	      blocks; min-fill FHD (plus local improvement) and the log n
+//	      approximation as fast upper bounds; sat-ord LP-hybrid (SAT
+//	      fixes orderings, the warm LP prices bags) which refines
+//	      accepted levels down to the exact fractional width. The
+//	      paper's Check(FHD,k) is not raced: deciding fhw ≤ k is
+//	      NP-complete even for k = 2, so it could only offer upper
+//	      bounds, and it never finished first on the benchmark mix.
 
 // blockResult carries the outcome for one block.
 type blockResult struct {
@@ -264,7 +265,6 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 				}
 			}},
 			strat{"approx-logn", func() { runApproxLogN(bctx, bh, r, opt, tr, blk) }},
-			strat{"fhd-check", func() { deepenFHDCheck(bctx, bh, r, opt, maxK, tr, blk, budget) }},
 		)
 		if satGate {
 			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdFHW(bctx, bh, r, opt, maxK, tr, blk) }})
@@ -334,59 +334,6 @@ func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Optio
 		r.raiseLower(lp.RI(int64(k+1)), "detk")
 		if r.upperBelow(k + 1) {
 			return // bounds met; closeIfMet already declared exactness
-		}
-	}
-}
-
-// deepenFHDCheck runs Check(FHD,k) over integer levels from the clique
-// bound as an fhw upper-bound strategy. An acceptance at level k yields
-// a witness whose actual (possibly fractional) width is offered as the
-// upper bound — often strictly below k, e.g. 3/2 on triangle blocks. A
-// rejection raises no lower bound: the procedure's h_{d,k} fallback
-// closure is not complete for every hypergraph, so only acceptances are
-// trusted. If the lazy generation or support enumeration exceeds its
-// caps the strategy retires and leaves the field to the others.
-//
-// Since PR 5 no subedge pool is precomputed: CheckFHD generates f⁺
-// atoms lazily per subproblem scope (and warm-starts the cover LPs), so
-// levels that accept on original-edge atoms never pay for a closure.
-// The lazily interned pool dies with each level's engine; nothing of it
-// reaches the result cache, whose sizing still sees only witnesses.
-//
-// Since PR 6 the levels share one warm-basis cache: the cover LP is
-// k-independent (k only thresholds the optimum), so level k+1 seeds its
-// per-scope solves from the bases level k retired. The cache must not
-// outlive the deepening loop — it is keyed on this hypergraph's
-// positional vertex numbering and the strategy goroutines each own
-// their loop, so sharing wider would race.
-func deepenFHDCheck(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int, budget *core.Budget) {
-	basis := cover.NewBasisCache(0)
-	var es *core.EngineStats
-	if tr != nil {
-		es = &core.EngineStats{}
-	}
-	// The retired loop's basis-cache and cover-LP aggregates feed the
-	// process counters (and the trace) even on early return. Parallel
-	// levels give each worker a private cache (this one is not
-	// concurrency-safe) and absorb the workers' counters into it when
-	// the level retires.
-	defer func() { flushBasis(tr, basis, es) }()
-	fopt := core.FHDOptions{Basis: basis, Stats: es, Parallelism: opt.Parallelism, Budget: budget}
-	for k := r.snapshotLower(); k <= maxK; k++ {
-		mDeepenSteps.With("fhd-check").Inc()
-		tr.Deepen(blk, "fhd-check", k)
-		d, err := core.CheckFHDCtx(ctx, bh, lp.RI(int64(k)), fopt)
-		if err != nil {
-			return // context done or closure cap exceeded
-		}
-		if d != nil {
-			r.offerUpper(d.Width(), d, "fhd-check", ProvHeuristic)
-			return
-		}
-		if r.upperBelow(k) {
-			// Rejection at k means deeper acceptances land above k (when
-			// the closure is complete); an incumbent at ≤ k already wins.
-			return
 		}
 	}
 }

@@ -113,7 +113,7 @@ func deepenSATOrdFHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, op
 	}
 	defer func() {
 		flushSAT(tr, s.Stats())
-		flushBasis(tr, s.Basis(), nil)
+		flushBasis(tr, s.Basis())
 	}()
 	done := ctxDone(ctx)
 	for k := r.snapshotLower(); k <= maxK; k++ {

@@ -2,9 +2,10 @@
 // an end-to-end width service: a preprocessing pipeline (drop empty /
 // duplicate / subsumed edges, split on biconnected components of the
 // primal graph), a concurrent portfolio that races bounded strategies —
-// clique lower bounds, iterative deepening on Check(HD,k),
-// Check(GHD,k)-via-BIP and Check(FHD,k) starting at the clique bound,
-// the exact elimination DP for small pieces, min-fill upper bounds —
+// clique lower bounds, iterative deepening on Check(HD,k) and
+// Check(GHD,k)-via-BIP starting at the clique bound, the SAT ordering
+// encoding (LP-priced for fhw), the exact elimination DP for small
+// pieces, min-fill upper bounds —
 // under context deadlines with a shared incumbent, recombination of the
 // per-piece witnesses into one validated decomposition, and a
 // fingerprint-keyed result cache (bounded by entries and by retained

@@ -233,30 +233,10 @@ func TestTimeoutPartial(t *testing.T) {
 // ri adapts an int width to *big.Rat via the lp helper.
 func ri(k int) *big.Rat { return lp.RI(int64(k)) }
 
-func TestFHDCheckStrategy(t *testing.T) {
-	// deepenFHDCheck on a triangle: Check(FHD,1) rejects (fhw = 3/2), so
-	// the strategy deepens to k=2 and offers that level's witness — a
-	// valid FHD whose width brackets fhw from above — as the upper bound.
-	bctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := &race{cancel: cancel}
-	r.res.lower = lp.RI(1)
-	deepenFHDCheck(bctx, hypergraph.Clique(3), r, Options{}, 4, nil, 0, nil)
-	if r.res.upper == nil || r.res.upper.Cmp(lp.RI(2)) > 0 || r.res.upper.Cmp(lp.R(3, 2)) < 0 {
-		t.Fatalf("fhd-check upper = %v, want within [3/2, 2]", r.res.upper)
-	}
-	if r.res.strategy != "fhd-check" {
-		t.Fatalf("strategy = %q", r.res.strategy)
-	}
-	if r.res.witness == nil || r.res.witness.Validate(FHW.Kind()) != nil {
-		t.Fatal("fhd-check witness missing or invalid")
-	}
-}
-
 func TestFHWPortfolioWithoutExactDP(t *testing.T) {
 	// With the exact DP disabled (vertex limit 1) the fhw portfolio must
 	// still close the triangle exactly: the fractional clique bound meets
-	// the fhd-check/min-fill upper bound at 3/2.
+	// the min-fill upper bound at 3/2.
 	r, err := Solve(context.Background(), hypergraph.Clique(3), Options{
 		Measure: FHW, ExactVertexLimit: 1, Validate: true,
 	})

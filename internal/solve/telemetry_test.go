@@ -2,11 +2,10 @@ package solve
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
+	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/lp"
 	"hypertree/internal/telemetry"
 )
 
@@ -58,40 +57,47 @@ func TestSolveTracedHW(t *testing.T) {
 	}
 }
 
-// TestDeepenFHDTrace drives the fhd-check loop directly (no racing
-// strategies) and checks the cover-LP, basis-cache and engine counters
-// it flushes into the trace — serially, and with parallel workers whose
-// private basis caches must fold their LP solves into the loop's.
-func TestDeepenFHDTrace(t *testing.T) {
-	for _, par := range []int{1, 2} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			bctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			r := &race{cancel: cancel}
-			r.res.lower = lp.RI(1)
-			tr := telemetry.NewTrace()
-			deepenFHDCheck(bctx, hypergraph.Clique(3), r, Options{Parallelism: par}, 4, tr, 0, nil)
-			if r.res.upper == nil {
-				t.Fatal("fhd-check found no witness")
+// TestSolveTracedFHW threads a trace through fhw solves: the race
+// starts no fhd-check strategy (the engine's Check(FHD,k) is not raced),
+// still closes exactly — on grid 3×4 with every strategy in play, and on
+// the triangle with the exact DP gated off so the clique bound must meet
+// a heuristic witness — and returns a witness that validates at the
+// reported width.
+func TestSolveTracedFHW(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+		opt  Options
+	}{
+		{"grid3x4", hypergraph.Grid(3, 4), Options{Measure: FHW}},
+		{"K3-no-dp", hypergraph.Clique(3), Options{Measure: FHW, ExactVertexLimit: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, tr := telemetry.WithTrace(context.Background())
+			r, err := Solve(ctx, tc.h, tc.opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sum := tr.Summary()
-			if traj := sum.KTrajectory("fhd-check"); len(traj) != 2 || traj[0] != 1 || traj[1] != 2 {
-				t.Fatalf("fhd-check k-trajectory = %v, want [1 2]", traj)
+			if !r.Exact || r.Lower.Cmp(r.Upper) != 0 {
+				t.Fatalf("fhw = [%v, %v] exact=%v, want closed", r.Lower, r.Upper, r.Exact)
 			}
-			c := sum.Counters
-			if c.LPSolves == 0 || c.LPSolves != c.LPFloat+c.LPCold+c.LPNoop+c.LPPrimal+c.LPDual {
-				t.Fatalf("LP path mix does not partition the solves: %+v", c)
+			if r.Witness == nil {
+				t.Fatal("no witness")
 			}
-			if c.LPFloat == 0 {
-				t.Fatalf("no cover LP was answered float-first: %+v", c)
+			if err := r.Witness.ValidateWidth(decomp.FHD, r.Upper); err != nil {
+				t.Fatalf("witness invalid at %v: %v", r.Upper, err)
 			}
-			// Parallel workers borrow from private caches; only their LP
-			// counts fold into the loop's, not their borrow hits/misses.
-			if par == 1 && c.BasisHits+c.BasisMisses == 0 {
-				t.Fatalf("basis cache counters missing: %+v", c)
+			started := map[string]bool{}
+			for _, e := range tr.Summary().Events {
+				if e.Kind == "strategy_start" {
+					started[e.Strategy] = true
+				}
 			}
-			if c.EngineSubproblems == 0 || c.DynResets == 0 {
-				t.Fatalf("engine counters missing: %+v", c)
+			if started["fhd-check"] {
+				t.Fatalf("fhd-check still raced: %v", started)
+			}
+			if !started["minfill"] {
+				t.Fatalf("fhw race lost its min-fill strategy: %v", started)
 			}
 		})
 	}
