@@ -127,3 +127,42 @@ func TestSolveIntervalUnderPressure(t *testing.T) {
 		}
 	}
 }
+
+// TestGHWDetkLaneDifferential is the soundness differential for the
+// detk upper-bound lane of the ghw race. With the exact DP and sat-ord
+// gated off, bip, detk, minfill and approx race on every golden corpus
+// instance; a detk witness may close the race only against a lower
+// bound proven by another lane, so every result must be exact and equal
+// to the golden ghw, serially and with intra-solve workers.
+func TestGHWDetkLaneDifferential(t *testing.T) {
+	golden := contractGolden(t)
+	ins, err := corpus.LoadDir(contractCorpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, in := range ins {
+		exact, ok := golden[in.Name]
+		if !ok {
+			continue
+		}
+		h, _, err := in.Read()
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		want := lp.RI(int64(exact))
+		for _, par := range []int{1, 2} {
+			r, err := solve.Solve(ctx, h, solve.Options{
+				Measure: solve.GHW, ExactVertexLimit: 1, SATOrdLimit: -1,
+				Validate: true, Parallelism: par, Timeout: 30 * time.Second,
+			})
+			if err != nil {
+				t.Fatalf("%s parallelism %d: %v", in.Name, par, err)
+			}
+			if !r.Exact || r.Upper.Cmp(want) != 0 || r.Lower.Cmp(want) != 0 {
+				t.Fatalf("%s parallelism %d: [%v, %v] exact=%v by %s, want exact ghw %d",
+					in.Name, par, r.Lower, r.Upper, r.Exact, r.Strategy, exact)
+			}
+		}
+	}
+}

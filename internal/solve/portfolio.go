@@ -26,7 +26,11 @@ import (
 //	      the sat-ord-lb ordering encoding contributes ghw-based lower
 //	      bounds in parallel (ghw ≤ hw).
 //	ghw:  clique lower bound; exact elimination DP for small blocks;
-//	      min-fill GHD as a fast upper bound; Check(GHD,k)-via-BIP
+//	      min-fill GHD as a fast upper bound; Check(HD,k) deepening as
+//	      an upper-bound lane (every HD is a GHD, and Check(HD,k) is
+//	      polynomial where Check(GHD,k) needs subedge augmentation),
+//	      so on blocks with ghw = hw the deciders below only have to
+//	      refute the levels under its witness; Check(GHD,k)-via-BIP
 //	      iterative deepening; sat-ord incremental ordering-encoding
 //	      deepening (internal/ordenc) on blocks within its size gate.
 //	fhw:  fractional clique lower bound; exact elimination DP for small
@@ -225,6 +229,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 			}})
 		}
 		strategies = append(strategies,
+			strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk, budget) }},
 			strat{"minfill", func() {
 				w, d, err := core.MinFillGHDCtx(bctx, bh)
 				switch {
@@ -310,30 +315,38 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	return r.res
 }
 
-// deepenHD runs Check(HD,k) iterative deepening. Every failed level is a
-// proven lower bound; the first success after failing all lower levels
-// is exact.
+// deepenHD runs Check(HD,k) iterative deepening. What a level proves
+// depends on the measure. Under hw every failed level is a proven lower
+// bound and the first success is exact. Under ghw (every HD is a GHD,
+// so ghw ≤ hw) a failure proves nothing and a success is only an upper
+// bound: the lane hands the race a cheap witness, and the ghw deciders
+// are left to refute the levels below it. Either way no level at or
+// above the incumbent upper bound is attempted, and the next level
+// skips past any lower bound another lane has proven meanwhile.
 func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int, budget *core.Budget) {
 	var es *core.EngineStats
 	if tr != nil {
 		es = &core.EngineStats{}
 		defer func() { tr.AddCounters(engineCounters(es)) }()
 	}
+	exact := opt.Measure == HW
 	copt := core.Options{Stats: es, Parallelism: opt.Parallelism, Budget: budget}
-	for k := r.snapshotLower(); k <= maxK; k++ {
+	for k := r.snapshotLower(); k <= maxK && !r.upperBelow(k); k = max(k+1, r.snapshotLower()) {
 		mDeepenSteps.With("detk").Inc()
 		tr.Deepen(blk, "detk", k)
 		d, err := core.CheckHDOptCtx(ctx, bh, k, copt)
 		if err != nil {
 			return
 		}
-		if d != nil {
+		switch {
+		case d != nil && exact:
 			r.offerExact(lp.RI(int64(k)), d, "detk")
 			return
-		}
-		r.raiseLower(lp.RI(int64(k+1)), "detk")
-		if r.upperBelow(k + 1) {
-			return // bounds met; closeIfMet already declared exactness
+		case d != nil:
+			r.offerUpper(d.Width(), d, "detk", ProvHeuristic)
+			return
+		case exact:
+			r.raiseLower(lp.RI(int64(k+1)), "detk")
 		}
 	}
 }

@@ -13,6 +13,10 @@ package solve
 //	      after rejecting below it is exact, with a decoded GHD witness.
 //	hw:   lower bounds only (ghw ≤ hw and the encoding characterizes
 //	      ghw; the special condition is not expressible in it).
+//	      The ghw race borrows in the other direction: its detk lane
+//	      (deepenHD) offers hw witnesses as ghw upper bounds, so each
+//	      race takes from the other measure the bound side it can
+//	      prove cheaply.
 //	fhw:  the SAT core fixes orderings, the warm LP engine prices every
 //	      decoded bag; an accepted level yields a witness at its exact
 //	      fractional width, then RefineBelow sweeps the bound down until
