@@ -142,7 +142,7 @@ func BenchmarkE07CheckGHDBIP(b *testing.B) {
 
 // BenchmarkE08CheckFHDBDP — Theorem 5.2: Check(FHD,k) under bounded
 // degree. The lazy leg is the default since PR 5 (per-scope f⁺ atoms,
-// warm-started cover LPs); the eager leg reconstructs the pre-PR-5
+// memoized cover LPs); the eager leg reconstructs the pre-PR-5
 // pipeline by materializing the full closure and passing it through
 // FHDOptions.Subedges.
 func BenchmarkE08CheckFHDBDP(b *testing.B) {
@@ -176,7 +176,7 @@ func BenchmarkE08CheckFHDBDP(b *testing.B) {
 
 // BenchmarkE08CheckFHDGrid — the FHD check on grid instances, where the
 // support enumeration solves long runs of sibling cover LPs (the
-// warm-start + lazy-closure showcase of PR 5).
+// lazy-closure showcase of PR 5).
 func BenchmarkE08CheckFHDGrid(b *testing.B) {
 	h := hypergraph.Grid(2, 4)
 	k := lp.RI(2) // fhw(grid 2×4) = 2
@@ -337,18 +337,18 @@ func BenchmarkLPCover(b *testing.B) {
 	}
 }
 
-// BenchmarkLPWarmVsCold — the PR-5 incremental engine against one-shot
-// solves on a DFS-shaped sequence of sibling cover LPs: push the edges
-// of K_n one by one, solving the cover LP of the union after each push,
-// then walk the last stack slot through every remaining edge (a
-// retire+add+re-solve per sibling, the FHD oracle's innermost move).
-// The warm leg drives one cover.Incremental across the sequence (solved
-// float-first, with its lp.WarmProblem basis kept for fallbacks); the
-// cold leg rebuilds each LP with cover.SolveCoverLP.
-func BenchmarkLPWarmVsCold(b *testing.B) {
+// BenchmarkLPIncrementalVsOneShot — a buffer-reusing solver against
+// allocating one-shot solves on a DFS-shaped sequence of sibling cover
+// LPs: push the edges of K_n one by one, solving the cover LP of the
+// union after each push, then walk the last stack slot through every
+// remaining edge (a pop+push+re-solve per sibling, the FHD oracle's
+// innermost move). The incremental leg drives one cover.Incremental
+// across the sequence; the one-shot leg builds each LP afresh with
+// cover.SolveCoverLP. Both solve float-first.
+func BenchmarkLPIncrementalVsOneShot(b *testing.B) {
 	k := hypergraph.Clique(8)
 	grow := k.NumEdges() / 2
-	b.Run("cold", func(b *testing.B) {
+	b.Run("one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stack := make([]int, 0, grow)
 			solve := func() {
@@ -371,19 +371,19 @@ func BenchmarkLPWarmVsCold(b *testing.B) {
 			}
 		}
 	})
-	b.Run("warm", func(b *testing.B) {
+	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ic := cover.NewIncremental(k.Vertices())
-			ic.Push(0, k.Edge(0))
+			var ic cover.Incremental
+			ic.Push(k.Edge(0))
 			for e := 1; e < grow; e++ {
-				ic.Push(e, k.Edge(e))
+				ic.Push(k.Edge(e))
 				if ic.Solve() == nil {
 					b.Fatal("cover LP failed")
 				}
 			}
 			for e := grow; e < k.NumEdges(); e++ {
 				ic.Pop()
-				ic.Push(e, k.Edge(e))
+				ic.Push(k.Edge(e))
 				if ic.Solve() == nil {
 					b.Fatal("cover LP failed")
 				}
@@ -410,11 +410,9 @@ func BenchmarkE07FPTInIntersectionWidth(b *testing.B) {
 }
 
 // BenchmarkEngineIncrementality — PR 6: the engine's incremental
-// connectivity and warm-basis reuse on Check(·,k)-dominated runs. The
-// "deepen" pair drives an iterative-deepening CheckFHD loop (reject at
-// k=1, accept at k=2, as `hgwidth -check` levels do) with a fresh
-// cover.BasisCache per level versus one shared across levels, exposing
-// the cross-level warm-basis effect; the decision legs pin the
+// connectivity on Check(·,k)-dominated runs. The deepenFHD leg drives
+// an iterative-deepening CheckFHD loop (reject at k=1, accept at k=2,
+// as `hgwidth -check` levels do); the decision legs pin the
 // steady-state cost of the HD/GHD guess loops that now ride
 // DynComponents instead of per-guess ComponentsOf.
 func BenchmarkEngineIncrementality(b *testing.B) {
@@ -435,35 +433,25 @@ func BenchmarkEngineIncrementality(b *testing.B) {
 			}
 		}
 	})
-	for _, shared := range []bool{false, true} {
-		name := "deepenFHD/fresh-basis"
-		if shared {
-			name = "deepenFHD/shared-basis"
-		}
-		b.Run(name, func(b *testing.B) {
-			g := hypergraph.Grid(2, 3)
-			for i := 0; i < b.N; i++ {
-				var basis *cover.BasisCache
-				if shared {
-					basis = cover.NewBasisCache(0)
+	b.Run("deepenFHD", func(b *testing.B) {
+		g := hypergraph.Grid(2, 3)
+		for i := 0; i < b.N; i++ {
+			var d *decomp.Decomp
+			for k := 1; k <= 2 && d == nil; k++ {
+				var err error
+				d, err = core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				var d *decomp.Decomp
-				for k := 1; k <= 2 && d == nil; k++ {
-					var err error
-					d, err = core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{Basis: basis})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if d != nil && k != 2 {
-						b.Fatal("grid 2x3 must reject at k=1")
-					}
-				}
-				if d == nil {
-					b.Fatal("grid 2x3 must accept at k=2")
+				if d != nil && k != 2 {
+					b.Fatal("grid 2x3 must reject at k=1")
 				}
 			}
-		})
-	}
+			if d == nil {
+				b.Fatal("grid 2x3 must accept at k=2")
+			}
+		}
+	})
 }
 
 // BenchmarkEngineParallel — PR 8: the multicore engine on E07-style

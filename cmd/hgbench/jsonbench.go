@@ -7,10 +7,7 @@ package main
 // PR text can cite committed BENCH_*.json records instead of pasted
 // terminal output. The benchmark set mirrors the engine-incrementality
 // rows of bench_test.go: decision checks over the grid family for the
-// three measures, plus an FHD deepening loop run cold (a fresh basis
-// cache per level) and shared (one cache across levels, as
-// FHDOptions.Basis allows) to expose the cross-level warm-basis
-// effect as a first-class measurement. The GHWDeepen pairs race the
+// three measures, plus an FHD deepening loop. The GHWDeepen pairs race the
 // sat-ord incremental CDCL sweep against the engine's Check(GHD,k)
 // deepening on the same mid-size grids.
 
@@ -27,7 +24,6 @@ import (
 
 	"hypertree/internal/approx"
 	"hypertree/internal/core"
-	"hypertree/internal/cover"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
 	"hypertree/internal/ordenc"
@@ -106,8 +102,7 @@ func jsonBenchSet() []struct {
 				}
 			}
 		}},
-		{"FHDDeepen/fresh", func(b *testing.B) { benchFHDDeepen(b, false) }},
-		{"FHDDeepen/shared", func(b *testing.B) { benchFHDDeepen(b, true) }},
+		{"FHDDeepen", benchFHDDeepen},
 		{"EngineParallel/grid4x4-reject/procs=1", func(b *testing.B) { benchParallelGridReject(b, 1) }},
 		{"EngineParallel/grid4x4-reject/procs=2", func(b *testing.B) { benchParallelGridReject(b, 2) }},
 		{"EngineParallel/grid4x4-reject/procs=4", func(b *testing.B) { benchParallelGridReject(b, 4) }},
@@ -216,18 +211,13 @@ func benchParallelHCAccept(b *testing.B, procs int) {
 }
 
 // benchFHDDeepen drives the iterative-deepening FHD loop on a grid —
-// reject at k=1, accept at k=2 — with or without one basis cache shared
-// across the levels.
-func benchFHDDeepen(b *testing.B, shared bool) {
+// reject at k=1, accept at k=2.
+func benchFHDDeepen(b *testing.B) {
 	g := hypergraph.Grid(2, 3)
 	for i := 0; i < b.N; i++ {
-		var basis *cover.BasisCache
-		if shared {
-			basis = cover.NewBasisCache(0)
-		}
 		var accepted bool
 		for k := 1; k <= 2; k++ {
-			d, err := core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{Basis: basis})
+			d, err := core.CheckFHD(g, lp.RI(int64(k)), core.FHDOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -398,7 +398,7 @@ type healthzResponse struct {
 	BatchQueued   int64             `json:"batch_queued"`
 	Cache         *solve.CacheStats `json:"cache,omitempty"`
 	// Telemetry is the process-wide solve aggregate: strategy wins,
-	// engine memo/DynComponents counters, warm-LP path mix and the
+	// engine memo/DynComponents counters, cover-LP path mix and the
 	// basis- and result-cache totals (see OBSERVABILITY.md).
 	Telemetry solve.Snapshot `json:"telemetry"`
 }

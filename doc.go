@@ -23,19 +23,15 @@
 // oracle picks bounded supports over the same kind of lazily generated
 // per-scope atom pool (f⁺ restricted to the scope, with the h_{d,k}
 // closure as a capped fallback), with the exact cover LPs memoized on
-// the interned support set and warm-started across sibling guesses; and
-// Algorithm 3's frac-decomp oracle guesses integral-plus-fractional
-// parts with trimmed witness bags. Those cover LPs are solved
-// float-first (lp.FloatProblem): a float64 simplex proposes an optimum
-// and its duals, rounded to rationals, and an exact duality certificate
-// in integer arithmetic accepts them. When it fails they fall back to
-// internal/lp's incremental engine (lp.WarmProblem): alongside the
-// one-shot two-phase simplex (lp.Problem.Solve), a ≤-form maximization
-// can keep its factored basis alive across AddRow/RetireRow/
-// SetObjective edits and re-solve with a few dual-simplex pivots,
-// falling back to a cold start when the basis goes stale;
-// cover.Incremental and cover.TargetLP wrap both for the two
-// covering-LP access patterns the oracles produce. The
+// the interned support set; and Algorithm 3's frac-decomp oracle
+// guesses integral-plus-fractional parts with trimmed witness bags.
+// Those cover LPs are solved float-first (lp.FloatProblem): a float64
+// simplex proposes an optimum and its duals, rounded to rationals, and
+// an exact duality certificate in integer arithmetic accepts them. When
+// it fails the same LP is solved cold by internal/lp's two-phase
+// rational simplex (lp.Problem.Solve); cover.Incremental and
+// cover.TargetLP run both for the two covering-LP access patterns the
+// oracles produce, reusing their buffers across solves. The
 // hypergraph core underneath is incidence-indexed: per-vertex edge
 // bitsets back edges(C), [C]-components and single-edge cover
 // detection; memo keys are interned integers; the exact-width DP and

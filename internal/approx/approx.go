@@ -23,7 +23,7 @@
 //   - Improve takes any existing decomposition (min-fill, LogN, or the
 //     single-bag trivial witness) and monotonically tightens it:
 //     redundant vertices are pruned from bags, every bag is re-priced
-//     through one warm lp.WarmProblem-backed target LP (fractional) or
+//     through one reusable cover.TargetLP (fractional) or
 //     exact/greedy integral covers, and the widest bag is re-decomposed
 //     locally along a min-fill order with its neighbor interfaces
 //     forced as cliques. Accepted steps strictly reduce either the
@@ -52,7 +52,7 @@ const exactCoverLimit = 20
 type Options struct {
 	// Integral prices bags with integral edge covers, yielding a GHD
 	// (and a ghw upper bound); the default prices fractionally through
-	// one warm target LP, yielding an FHD.
+	// one target LP, yielding an FHD.
 	Integral bool
 	// StartEdges seeds the doubling search over the separator edge
 	// budget m (0 = 1). Seeding at a known lower bound skips the
@@ -75,9 +75,9 @@ type Stats struct {
 	// returned width never exceeds it, independent of how well the
 	// per-bag pricing did.
 	CertBound *big.Rat
-	// Warm aggregates the fractional pricing LP's warm-path behavior
-	// (zero when Integral).
-	Warm lp.WarmStats
+	// LP counts the fractional pricing LP's solves by path (zero when
+	// Integral).
+	LP cover.LPStats
 }
 
 // RatioBound returns the ladder's certified depth factor for an
@@ -300,15 +300,15 @@ func (b *builder) separator(C hypergraph.VertexSet) (hypergraph.VertexSet, []int
 
 // price turns the raw bag tree into a decomposition, covering every bag
 // no worse than its guaranteed ancestor-trace cover: fractional pricing
-// solves each bag through one warm target LP (optimal, hence ≤ the
+// solves each bag through one target LP (optimal, hence ≤ the
 // guarantee); integral pricing races exact/greedy covers against the
 // guarantee and keeps the lighter.
 func (b *builder) price(integral bool, st *Stats) (*decomp.Decomp, error) {
 	d := decomp.New(b.h)
 	var tl *cover.TargetLP
 	if !integral {
-		tl = cover.NewTargetLP(b.h, b.h.Vertices())
-		defer func() { st.Warm = tl.Stats() }()
+		tl = cover.NewTargetLP(b.h)
+		defer func() { st.LP = tl.Stats() }()
 	}
 	for i := range b.nodes {
 		if err := b.ctx.Err(); err != nil {

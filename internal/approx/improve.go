@@ -2,7 +2,7 @@ package approx
 
 // improve.go — anytime local improvement of an existing decomposition.
 // Three monotone passes run to a fixpoint: redundant-vertex pruning,
-// bag re-pricing through a warm target LP (or exact/greedy integral
+// bag re-pricing through a target LP (or exact/greedy integral
 // covers), and critical-bag splitting along a local min-fill order with
 // the neighbor interfaces forced as cliques. Every accepted step keeps
 // the decomposition valid for its kind and never increases the width,
@@ -17,7 +17,6 @@ import (
 	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/lp"
 )
 
 // ImproveOptions configure one Improve run.
@@ -40,9 +39,9 @@ type ImproveStats struct {
 	Pruned   int // vertices removed from bags
 	Repriced int // bags whose cover got strictly lighter
 	Splits   int // critical bags re-decomposed locally
-	// Warm aggregates the fractional re-pricing LP's warm-path behavior
-	// (zero when Integral).
-	Warm lp.WarmStats
+	// LP counts the fractional re-pricing LP's solves by path (zero when
+	// Integral).
+	LP cover.LPStats
 }
 
 // defaultMaxPasses is the defensive bound on sweeps; every sweep must
@@ -62,8 +61,8 @@ func Improve(ctx context.Context, h *hypergraph.Hypergraph, d *decomp.Decomp, op
 	}
 	var tl *cover.TargetLP
 	if !opt.Integral {
-		tl = cover.NewTargetLP(h, h.Vertices())
-		defer func() { st.Warm = tl.Stats() }()
+		tl = cover.NewTargetLP(h)
+		defer func() { st.LP = tl.Stats() }()
 	}
 	imp := &improver{h: h, opt: opt, tl: tl, st: st}
 	for pass := 0; pass < maxPasses; pass++ {

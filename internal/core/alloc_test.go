@@ -46,9 +46,9 @@ func TestCheckHDSteadyStateAllocBound(t *testing.T) {
 }
 
 func TestCheckFHDSteadyStateAllocBound(t *testing.T) {
-	// The FHD run is dominated by exact-rational pivots in the cover LPs;
-	// the bound is correspondingly coarser but still catches a lost
-	// warm-start or a de-pooled scratch path.
+	// The FHD run is dominated by the cover LPs and their rational
+	// answers; the bound is correspondingly coarser but still catches a
+	// de-pooled scratch path.
 	g := hypergraph.Grid(2, 3)
 	k := lp.RI(2)
 	opt := core.FHDOptions{Parallelism: 1}

@@ -1,14 +1,13 @@
 package core_test
 
-// Differential tests for the PR-6 cross-scope warm-basis cache: an
+// Differential tests for the shared cover-LP solver pool: an
 // iterative-deepening sequence of CheckFHD levels sharing one
 // cover.BasisCache through FHDOptions.Basis must decide — and
-// weigh — exactly like the same sequence with a fresh cache per level.
-// The cover LP is k-independent (k only thresholds the optimum), so a
-// warm basis revived from another level or another DFS scope can steer
-// the pivot order but never the optimum; these tests pin that argument
-// over the testdata/corpus mini corpus and the generator families,
-// mirroring the PR-5 lazy-vs-eager pattern in fhddiff_test.go.
+// weigh — exactly like the same sequence with a fresh pool per level.
+// A solver recycled from another level or another DFS scope carries
+// buffers and counters, never answers; these tests pin that over the
+// testdata/corpus mini corpus and the generator families, mirroring the
+// lazy-vs-eager pattern in fhddiff_test.go.
 
 import (
 	"context"
@@ -26,8 +25,7 @@ import (
 // diffBasisDeepening runs the deepening loop twice over h — one shared
 // cache across levels versus a fresh cache per level — comparing the
 // decision at every level and the witness width at acceptance. Returns
-// the shared cache so callers can assert revival happened and which
-// solve path answered.
+// the shared cache so callers can assert which solve path answered.
 func diffBasisDeepening(t *testing.T, name string, h *hypergraph.Hypergraph, maxK int) *cover.BasisCache {
 	t.Helper()
 	shared := cover.NewBasisCache(0)
@@ -61,11 +59,9 @@ func diffBasisDeepening(t *testing.T, name string, h *hypergraph.Hypergraph, max
 }
 
 // TestFHDSharedBasisCacheMatchesFreshOnCorpus runs the differential over
-// every tractable instance of the mini corpus and checks that the shared
-// cache actually revived solvers somewhere — a cache that never hits
-// would make the differential vacuous — and that the float path
-// answered the cover LPs. The rational warm path behind it is guarded
-// with the float path switched off in internal/cover's revival tests.
+// every tractable instance of the mini corpus and checks that the float
+// path answered the cover LPs. The cold rational path behind it is
+// guarded with the float path switched off in internal/cover's tests.
 func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 	instances, err := corpus.LoadDir("../../testdata/corpus")
 	if err != nil {
@@ -74,7 +70,7 @@ func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 	if len(instances) == 0 {
 		t.Fatal("empty corpus")
 	}
-	ran, hits, float := 0, 0, 0
+	ran, float := 0, 0
 	for _, in := range instances {
 		h, _, err := in.Read()
 		if err != nil {
@@ -84,15 +80,10 @@ func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 			continue
 		}
 		ran++
-		bc := diffBasisDeepening(t, in.Name, h, 3)
-		hits += bc.Stats().Hits
-		float += bc.WarmStats().FloatSolves
+		float += diffBasisDeepening(t, in.Name, h, 3).LPStats().FloatSolves
 	}
 	if ran < 10 {
 		t.Fatalf("only %d corpus instances were diffable; the gate is too tight", ran)
-	}
-	if hits == 0 {
-		t.Fatal("the shared cache never revived a warm basis across the corpus")
 	}
 	if float == 0 {
 		t.Fatal("no cover LP across the corpus was answered float-first")
@@ -101,8 +92,8 @@ func TestFHDSharedBasisCacheMatchesFreshOnCorpus(t *testing.T) {
 
 // TestFHDSharedBasisCacheMatchesFreshOnGenerators runs the differential
 // over generator families whose deepening spans at least two levels, so
-// cross-level revival (one cache shared across levels) is exercised,
-// not just cross-scope revival within one run.
+// solvers recycled across levels (one pool shared across levels) are
+// exercised, not just across scopes within one run.
 func TestFHDSharedBasisCacheMatchesFreshOnGenerators(t *testing.T) {
 	fixtures := map[string]*hypergraph.Hypergraph{
 		"cycle6":     hypergraph.Cycle(6),
@@ -110,14 +101,9 @@ func TestFHDSharedBasisCacheMatchesFreshOnGenerators(t *testing.T) {
 		"grid2x3":    hypergraph.Grid(2, 3),
 		"hypercycle": hypergraph.HyperCycle(6, 3, 1),
 	}
-	hits, float := 0, 0
+	float := 0
 	for name, h := range fixtures {
-		bc := diffBasisDeepening(t, name, h, 3)
-		hits += bc.Stats().Hits
-		float += bc.WarmStats().FloatSolves
-	}
-	if hits == 0 {
-		t.Fatal("the shared cache never revived a warm basis across the generators")
+		float += diffBasisDeepening(t, name, h, 3).LPStats().FloatSolves
 	}
 	if float == 0 {
 		t.Fatal("no cover LP across the generators was answered float-first")
@@ -146,20 +132,20 @@ func TestCheckFHDBasisCacheCounters(t *testing.T) {
 					t.Fatalf("k=%d: accepted=%v, want accept only at 2", k, d != nil)
 				}
 			}
-			ws := basis.WarmStats()
-			if ws.Solves == 0 || ws.Solves != ws.FloatSolves+ws.ColdStarts+ws.NoopSolves+ws.PrimalSolves+ws.DualSolves {
-				t.Fatalf("LP path mix does not partition the solves: %+v", ws)
+			ls := basis.LPStats()
+			if ls.Solves == 0 || ls.Solves != ls.FloatSolves+ls.ColdStarts {
+				t.Fatalf("LP path mix does not partition the solves: %+v", ls)
 			}
-			if ws.FloatSolves == 0 {
-				t.Fatalf("no cover LP was answered float-first: %+v", ws)
+			if ls.FloatSolves == 0 {
+				t.Fatalf("no cover LP was answered float-first: %+v", ls)
 			}
 			bs := basis.Stats()
 			switch {
-			case par == 1 && bs.Hits+bs.Misses == 0:
+			case par == 1 && bs.Borrows == 0:
 				t.Fatalf("serial run never borrowed from the cache: %+v", bs)
-			case par > 1 && (es.ParWorkers == 0 || bs.Hits+bs.Misses != 0):
+			case par > 1 && (es.ParWorkers == 0 || bs.Borrows != 0):
 				t.Fatalf("parallel run: workers=%d, caller-cache borrows=%d, want >0 and 0",
-					es.ParWorkers, bs.Hits+bs.Misses)
+					es.ParWorkers, bs.Borrows)
 			}
 			if es.Subproblems == 0 || es.DynResets == 0 {
 				t.Fatalf("engine counters missing: %+v", *es)

@@ -24,8 +24,8 @@ package core
 // mark-rolled buffers on the oracles, and the DynComponents structures
 // recycle across runs through a package-level sync.Pool — so a warmed
 // Check(·,k) run settles at a small constant number of allocations
-// (pinned in alloc_test.go). The FHD oracle's cover LPs warm-start
-// across scopes and runs through cover.BasisCache (see FHDOptions.Basis).
+// (pinned in alloc_test.go). The FHD oracle's cover-LP solvers recycle
+// through cover.BasisCache (see FHDOptions.Basis).
 
 import (
 	"sync"

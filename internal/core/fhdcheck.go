@@ -28,15 +28,12 @@ type FHDOptions struct {
 	// the cap trips, CheckFHD falls back to the eager h_{d,k} closure of
 	// Lemma 5.17 under the same cap.
 	MaxSubedges int
-	// Basis, when non-nil, is the warm-basis cache the run draws its
-	// cover-LP solvers from. Sharing one cache across runs on the SAME
-	// hypergraph (iterative deepening over k: the cover LP is
-	// k-independent, k only thresholds the optimum) lets subproblems
-	// seed their solves from bases retired in earlier levels. When nil
-	// the run uses a private cache. A BasisCache is not safe for
+	// Basis, when non-nil, is the solver pool the run draws its cover-LP
+	// solvers from, and whose LP counters then include the run's solves.
+	// When nil the run uses a private pool. A BasisCache is not safe for
 	// concurrent use — do not share across parallel strategies; for the
 	// same reason runs with effective Parallelism > 1 give every worker
-	// its own cache and only fold the workers' counters into this one
+	// its own pool and only fold the workers' counters into this one
 	// when the run retires.
 	Basis *cover.BasisCache
 	// Stats, when non-nil, receives the engine's run counters on
@@ -89,13 +86,12 @@ type fhdCands struct {
 // across scopes, so equal sets are stored once.
 //
 // The cover LPs are solved float-first and memoized. Per subproblem the
-// oracle borrows an incremental solver (cover.Incremental) that mirrors
-// the enumeration stack; each solve is proposed in float64 and accepted
-// by an exact duality certificate, and only when that fails does the
-// solver's rational simplex re-solve from its previous optimal basis.
-// On top of that, solves are memoized on the interned support set — the
-// bag is determined by S, so sibling subproblems that re-derive the same
-// support skip the LP outright.
+// oracle borrows a solver (cover.Incremental) that mirrors the
+// enumeration stack; each solve is proposed in float64 and accepted by
+// an exact duality certificate, and only when that fails is it solved
+// cold by the rational simplex. On top of that, solves are memoized on
+// the interned support set — the bag is determined by S, so sibling
+// subproblems that re-derive the same support skip the LP outright.
 type fhdOracle struct {
 	h          *hypergraph.Hypergraph
 	k          *big.Rat
@@ -112,8 +108,8 @@ type fhdOracle struct {
 	supports hypergraph.Interner      // interned chosen-atom id sets
 	lpMemo   map[int]map[int]*big.Rat // support id → atom id → weight (nil = no cover ≤ k)
 
-	basis  *cover.BasisCache // warm LP solvers, keyed by retired scope
-	parent *cover.BasisCache // parallel workers: the run's cache, absorbing basis on retire
+	basis  *cover.BasisCache // pooled cover-LP solvers
+	parent *cover.BasisCache // parallel workers: the run's pool, absorbing basis on retire
 
 	// Scratch buffers; each is fully consumed before the engine recurses.
 	scope, b hypergraph.VertexSet
@@ -171,12 +167,11 @@ func (o *fhdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 		appendOrdered(cd.subs)
 	}
 
-	// Borrow a cover-LP solver for this invocation — warm-based when the
-	// cache has seen this scope before, in this run or an earlier one.
-	// Child subproblems recurse from inside try, so invocations nest;
-	// each holds its own solver and stashes it back on exit.
-	inc := o.basis.Get(cd.scope)
-	defer o.basis.Put(cd.scope, inc)
+	// Borrow a cover-LP solver for this invocation. Child subproblems
+	// recurse from inside try, so invocations nest; each holds its own
+	// solver and returns it on exit.
+	inc := o.basis.Get()
+	defer o.basis.Put(inc)
 
 	var rec func(start int) bool
 	rec = func(start int) bool {
@@ -211,7 +206,7 @@ func (o *fhdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 			}
 			a := o.ordBuf[ordMark+i]
 			o.choBuf = append(o.choBuf, a)
-			inc.Push(a.id, a.set)
+			inc.Push(a.set)
 			e.compPush(i, a.set) // keyed by ordered-list index
 			if rec(i + 1) {
 				return true
@@ -235,7 +230,7 @@ func (o *fhdOracle) dynAware() {}
 // oracleErr exposes the sideways failure to parallel runs (errOracle).
 func (o *fhdOracle) oracleErr() error { return o.err }
 
-// retire folds a parallel worker's private cache into the run's
+// retire folds a parallel worker's private pool into the run's
 // (retirer), so the LP solves the worker ran reach the caller's counters.
 func (o *fhdOracle) retire() {
 	if o.parent != nil {
@@ -447,7 +442,7 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, opt FHDOptions, done <-chan struct{}) (*decomp.Decomp, error) {
 	if par := effectiveParallelism(opt.Parallelism, h); par > 1 {
 		// Each worker gets its own BasisCache — a shared one is not
-		// concurrency-safe — and hands its counters to opt.Basis when
+		// concurrency-safe — and hands its LP counters to opt.Basis when
 		// the run retires.
 		return runParallel(h, func() coverOracle {
 			o := newFHDOracle(h, aug, k, maxSupport, maxSets, nil)

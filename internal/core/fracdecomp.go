@@ -34,32 +34,13 @@ type fdOracle struct {
 
 	// The Ws-cover LPs depend only on Ws, so they are memoized on the
 	// interned vertex set: the enumeration re-derives the same Ws for
-	// many S guesses and subproblems. Memo misses are solved by a
-	// warm-started TargetLP borrowed per subproblem — sibling Ws guesses
-	// differ by a vertex or two, so the re-solve resumes from the
-	// previous optimal basis instead of starting cold.
+	// many S guesses and subproblems. Memo misses are solved by tl, whose
+	// answers coverWs copies out before the engine recurses.
 	wsSets hypergraph.Interner
 	wsMemo map[int]wsCover
-
-	tlFree []*cover.TargetLP // warm ρ*(Ws) solvers, one per live recursion depth
+	tl     *cover.TargetLP
 
 	ebuf hypergraph.EdgeSet
-}
-
-// getTL borrows a warm Ws-cover solver for one guesses invocation
-// (child subproblems recurse from inside try, so invocations nest).
-func (o *fdOracle) getTL(scope hypergraph.VertexSet) *cover.TargetLP {
-	if n := len(o.tlFree); n > 0 {
-		tl := o.tlFree[n-1]
-		o.tlFree = o.tlFree[:n-1]
-		tl.Reset(o.h, scope)
-		return tl
-	}
-	return cover.NewTargetLP(o.h, scope)
-}
-
-func (o *fdOracle) putTL(tl *cover.TargetLP) {
-	o.tlFree = append(o.tlFree, tl)
 }
 
 // wsCover is a memoized ρ*(Ws) solve: the optimal weight (nil if Ws is
@@ -94,12 +75,10 @@ func (o *fdOracle) guesses(e *engine, cr hypergraph.VertexSet, st engineState, t
 		candidates = append(candidates, ed)
 		return true
 	})
-	tl := o.getTL(wsScope)
-	defer o.putTL(tl)
 	chosen := make([]int, 0, maxS)
 	var tryS func(start int) bool
 	tryS = func(start int) bool {
-		if o.checkGuess(e, tl, cr, need, wsScope, chosen, try) {
+		if o.checkGuess(e, cr, need, wsScope, chosen, try) {
 			return true
 		}
 		if len(chosen) == maxS {
@@ -120,7 +99,7 @@ func (o *fdOracle) guesses(e *engine, cr hypergraph.VertexSet, st engineState, t
 // checkGuess completes one guess of S by enumerating Ws (≤ c vertices of
 // the still-needed connector plus component scope) and running checks
 // (2.a)-(2.c); the engine handles the recursion (4).
-func (o *fdOracle) checkGuess(e *engine, tl *cover.TargetLP, cr, need, wsScope hypergraph.VertexSet, chosen []int, try func(engineGuess) bool) bool {
+func (o *fdOracle) checkGuess(e *engine, cr, need, wsScope hypergraph.VertexSet, chosen []int, try func(engineGuess) bool) bool {
 	e.poll()
 	vs := o.h.UnionOfEdges(chosen)
 	// (2.b) pre-check: Ws must supply need \ V(S); if that exceeds c,
@@ -137,7 +116,7 @@ func (o *fdOracle) checkGuess(e *engine, tl *cover.TargetLP, cr, need, wsScope h
 
 	var tryWs func(start int, ws hypergraph.VertexSet) bool
 	tryWs = func(start int, ws hypergraph.VertexSet) bool {
-		if o.finishGuess(tl, cr, chosen, vs, ws, fracBudget, try) {
+		if o.finishGuess(cr, chosen, vs, ws, fracBudget, try) {
 			return true
 		}
 		if ws.Count()-missing.Count() >= budget {
@@ -155,7 +134,7 @@ func (o *fdOracle) checkGuess(e *engine, tl *cover.TargetLP, cr, need, wsScope h
 
 // finishGuess runs checks (2.a)-(2.c) for a fully guessed (S, Ws) and
 // hands the guess to the engine.
-func (o *fdOracle) finishGuess(tl *cover.TargetLP, cr hypergraph.VertexSet, chosen []int, vs, ws hypergraph.VertexSet, fracBudget *big.Rat, try func(engineGuess) bool) bool {
+func (o *fdOracle) finishGuess(cr hypergraph.VertexSet, chosen []int, vs, ws hypergraph.VertexSet, fracBudget *big.Rat, try func(engineGuess) bool) bool {
 	if fracBudget.Sign() < 0 {
 		return false
 	}
@@ -167,7 +146,7 @@ func (o *fdOracle) finishGuess(tl *cover.TargetLP, cr hypergraph.VertexSet, chos
 	// (2.a) cover Ws fractionally with weight ≤ k+ε−ℓ.
 	gamma := cover.Fractional{}
 	if !ws.IsEmpty() {
-		wc := o.coverWs(tl, ws)
+		wc := o.coverWs(ws)
 		if wc.w == nil || wc.w.Cmp(fracBudget) > 0 {
 			return false
 		}
@@ -191,8 +170,8 @@ func (o *fdOracle) finishGuess(tl *cover.TargetLP, cr hypergraph.VertexSet, chos
 
 // coverWs computes ρ*(Ws) with an optimal cover, memoized on the
 // interned Ws. Memo misses keep FractionalEdgeCover's single-edge fast
-// path and otherwise re-solve warm from the previous Ws guess's basis.
-func (o *fdOracle) coverWs(tl *cover.TargetLP, ws hypergraph.VertexSet) wsCover {
+// path and otherwise solve the cover LP through o.tl.
+func (o *fdOracle) coverWs(ws hypergraph.VertexSet) wsCover {
 	id, _, isNew := o.wsSets.Intern(ws)
 	if !isNew {
 		return o.wsMemo[id]
@@ -201,7 +180,7 @@ func (o *fdOracle) coverWs(tl *cover.TargetLP, ws hypergraph.VertexSet) wsCover 
 	if e := o.h.CoveringEdge(ws); e >= 0 {
 		wc = wsCover{w: lp.RI(1), g: cover.Fractional{e: lp.RI(1)}}
 	} else {
-		w, g := tl.Solve(ws)
+		w, g := o.tl.Solve(ws)
 		wc = wsCover{w: w, g: g}
 		if w != nil {
 			wc.w = new(big.Rat).Set(w) // Solve's value is owned by the solver
@@ -225,6 +204,7 @@ func FracDecomp(h *hypergraph.Hypergraph, p FracDecompParams) *decomp.Decomp {
 	target := new(big.Rat).Add(p.K, p.Eps)
 	o := &fdOracle{h: h, target: target, c: p.C,
 		wsMemo: map[int]wsCover{},
+		tl:     cover.NewTargetLP(h),
 		ebuf:   hypergraph.NewEdgeSet(h.NumEdges())}
 	e := newEngine(h, o, true, nil)
 	empty := hypergraph.NewVertexSet(h.NumVertices())

@@ -19,8 +19,8 @@ package core
 // under per-shard mutexes; a set's global id is (local id × shards +
 // shard), so ids are dense per shard and stable for the run. Each
 // worker owns a full engine — oracle, DynComponents free list, arena,
-// depth-indexed scratch, and for FHD its own BasisCache drawn from a
-// package-level pool — so no λ stack, LP solver or component structure
+// depth-indexed scratch, and for FHD its own BasisCache of LP solvers
+// — so no λ stack, LP solver or component structure
 // ever crosses a goroutine. Memo nodes are published under the shard
 // lock (release/acquire orders the arena writes before any reader), and
 // the engines themselves stay alive until build has walked the winning

@@ -123,12 +123,15 @@ func SolveCoverLP(h *hypergraph.Hypergraph, edges []int, target hypergraph.Verte
 		}
 		return fp.Value(new(big.Rat)), x
 	}
-	return solveCoverRational(h, edges, vs)
+	return solveCoverRational(edgeSets(h, edges), vs)
 }
 
-// solveCoverRational is SolveCoverLP's exact fallback: the same dual
-// LP through the rational two-phase simplex.
-func solveCoverRational(h *hypergraph.Hypergraph, edges []int, vs []int) (*big.Rat, []*big.Rat) {
+// solveCoverRational is the exact fallback of every cover LP here: the
+// dual ≤-form, maximize Σ y_v over v ∈ vs subject to
+// Σ_{v ∈ rows[i]} y_v ≤ 1 per row, solved cold by the rational
+// simplex. It returns the optimum and the per-row cover weights (the
+// row duals), or nil, nil if some vertex of vs lies in no row.
+func solveCoverRational(rows []hypergraph.VertexSet, vs []int) (*big.Rat, []*big.Rat) {
 	one := lp.RI(1)
 	p := lp.NewProblem(len(vs))
 	p.Minimize = false
@@ -136,10 +139,9 @@ func solveCoverRational(h *hypergraph.Hypergraph, edges []int, vs []int) (*big.R
 		p.SetObjective(j, one)
 	}
 	coef := make([]*big.Rat, len(vs))
-	for _, e := range edges {
-		es := h.Edge(e)
+	for _, r := range rows {
 		for idx, v := range vs {
-			if es.Has(v) {
+			if r.Has(v) {
 				coef[idx] = one
 			} else {
 				coef[idx] = nil
@@ -152,6 +154,15 @@ func solveCoverRational(h *hypergraph.Hypergraph, edges []int, vs []int) (*big.R
 		return nil, nil
 	}
 	return s.Value, s.RowDuals
+}
+
+// edgeSets returns the vertex sets of the given edges of h.
+func edgeSets(h *hypergraph.Hypergraph, edges []int) []hypergraph.VertexSet {
+	sets := make([]hypergraph.VertexSet, len(edges))
+	for i, e := range edges {
+		sets[i] = h.Edge(e)
+	}
+	return sets
 }
 
 // FractionalEdgeCover computes ρ*(target) in H: the minimum total weight

@@ -11,8 +11,7 @@ import (
 
 // setFloatFirst sets the float-path seam for the rest of the test: on,
 // solves answer float-first as in production; off, every solve takes
-// the rational warm path, which stays the fallback and must stay right
-// on its own.
+// the cold rational fallback, which must stay right on its own.
 func setFloatFirst(t *testing.T, on bool) {
 	t.Helper()
 	old := floatFirst
@@ -36,35 +35,57 @@ func eachPath(t *testing.T, f func(t *testing.T, float bool)) {
 
 // checkPathTaken asserts that the solves of st went where the seam sent
 // them: all float-first with the seam on (the certificate never failed
-// on these small covering LPs), and through the warm engine, resuming
-// warm at least once, with it off.
-func checkPathTaken(t *testing.T, st lp.WarmStats, float bool, what string) {
+// on these small covering LPs), all cold rational with it off.
+func checkPathTaken(t *testing.T, st LPStats, float bool, what string) {
 	t.Helper()
-	if st.Solves != st.ColdStarts+st.NoopSolves+st.PrimalSolves+st.DualSolves+st.FloatSolves {
+	if st.Solves == 0 || st.Solves != st.ColdStarts+st.FloatSolves {
 		t.Fatalf("%s: solve paths do not partition the solves: %+v", what, st)
 	}
-	if float && (st.FloatSolves == 0 || st.FloatSolves != st.Solves) {
+	if float && st.FloatSolves != st.Solves {
 		t.Fatalf("%s: float path answered %d of %d solves", what, st.FloatSolves, st.Solves)
 	}
-	if !float && (st.FloatSolves != 0 || st.WarmSolves == 0) {
-		t.Fatalf("%s never took the warm path: %+v", what, st)
+	if !float && st.ColdStarts != st.Solves {
+		t.Fatalf("%s: rational path answered %d of %d solves", what, st.ColdStarts, st.Solves)
 	}
 }
 
-// rationalRho is ρ*(ws) by the rational simplex alone (nil when some
-// vertex of ws lies in no edge): the exact reference the float-first
-// and warm paths are both checked against.
-func rationalRho(h *hypergraph.Hypergraph, ws hypergraph.VertexSet) *big.Rat {
-	if ws.IsEmpty() {
+// primalCover is the exact reference both solve paths are checked
+// against: min Σ x_i subject to Σ_{i : v ∈ rows[i]} x_i ≥ 1 for every
+// v ∈ vs, x ≥ 0, solved in primal form by the two-phase rational
+// simplex — not through the dual ≤-form the solvers use. It returns
+// nil when some vertex lies in no row.
+func primalCover(rows []hypergraph.VertexSet, vs []int) *big.Rat {
+	if len(vs) == 0 {
 		return new(big.Rat)
 	}
-	w, _ := solveCoverRational(h, h.EdgesIntersecting(ws), ws.Vertices())
-	return w
+	p := lp.NewProblem(len(rows))
+	for i := range rows {
+		p.SetObjective(i, lp.RI(1))
+	}
+	for _, v := range vs {
+		coef := make([]*big.Rat, len(rows))
+		for i, r := range rows {
+			if r.Has(v) {
+				coef[i] = lp.RI(1)
+			}
+		}
+		p.AddConstraint(coef, lp.GE, lp.RI(1))
+	}
+	s, err := p.Solve()
+	if err != nil || s.Status != lp.Optimal {
+		return nil
+	}
+	return s.Value
+}
+
+// rationalRho is ρ*(ws) by primalCover over the edges meeting ws.
+func rationalRho(h *hypergraph.Hypergraph, ws hypergraph.VertexSet) *big.Rat {
+	return primalCover(edgeSets(h, h.EdgesIntersecting(ws)), ws.Vertices())
 }
 
 // TestIncrementalMatchesSolveCoverLP walks a random DFS of atom stacks
-// and compares every solve against the one-shot rational cover LP on an
-// equivalent hypergraph, on both solve paths.
+// and compares every solve against the primal-form rational cover LP of
+// the stacked atoms, on both solve paths.
 func TestIncrementalMatchesSolveCoverLP(t *testing.T) {
 	eachPath(t, testIncrementalMatchesSolveCoverLP)
 }
@@ -73,10 +94,9 @@ func testIncrementalMatchesSolveCoverLP(t *testing.T, float bool) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := hypergraph.RandomBIP(rng, 8, 6, 4, 2)
-		scope := h.Vertices()
-		ic := NewIncremental(scope)
+		var ic Incremental
 
-		// Atoms: the edges of h plus a few random subsets.
+		// Atoms: the edges of h.
 		var atoms []hypergraph.VertexSet
 		for e := 0; e < h.NumEdges(); e++ {
 			atoms = append(atoms, h.Edge(e))
@@ -89,20 +109,13 @@ func testIncrementalMatchesSolveCoverLP(t *testing.T, float bool) {
 			if got == nil {
 				t.Fatal("incremental solve failed")
 			}
-			// Reference: a scratch hypergraph whose edges are the stacked
-			// atoms, covering their union.
-			ref := hypergraph.New()
-			for v := 0; v < h.NumVertices(); v++ {
-				ref.Vertex(h.VertexName(v))
-			}
 			union := hypergraph.NewVertexSet(h.NumVertices())
-			var es []int
-			for i, ai := range stack {
-				ref.AddEdgeSet("", atoms[ai])
+			var rows []hypergraph.VertexSet
+			for _, ai := range stack {
+				rows = append(rows, atoms[ai])
 				union = union.UnionInPlace(atoms[ai])
-				es = append(es, i)
 			}
-			want, _ := solveCoverRational(ref, es, union.Vertices())
+			want := primalCover(rows, union.Vertices())
 			if want == nil {
 				t.Fatal("reference cover LP failed")
 			}
@@ -154,20 +167,20 @@ func testIncrementalMatchesSolveCoverLP(t *testing.T, float bool) {
 			for trial := 0; trial < 2; trial++ {
 				ai := rng.Intn(len(atoms))
 				stack = append(stack, ai)
-				ic.Push(ai, atoms[ai])
+				ic.Push(atoms[ai])
 				walk(depth - 1)
 				ic.Pop()
 				stack = stack[:len(stack)-1]
 			}
 		}
 		walk(3)
-		checkPathTaken(t, ic.Stats(), float, "DFS")
+		checkPathTaken(t, ic.stats, float, "DFS")
 	}
 }
 
 // TestTargetLPMatchesFractionalEdgeCover drifts a target set around a
-// random hypergraph and compares every ρ*(target) against the one-shot
-// rational cover LP, on both solve paths.
+// random hypergraph and compares every ρ*(target) against the
+// primal-form rational cover LP, on both solve paths.
 func TestTargetLPMatchesFractionalEdgeCover(t *testing.T) {
 	eachPath(t, testTargetLPMatchesFractionalEdgeCover)
 }
@@ -176,9 +189,8 @@ func testTargetLPMatchesFractionalEdgeCover(t *testing.T, float bool) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := hypergraph.RandomBIP(rng, 9, 6, 3, 2)
-		scope := h.Vertices()
-		tl := NewTargetLP(h, scope)
-		vs := scope.Vertices()
+		tl := NewTargetLP(h)
+		vs := h.Vertices().Vertices()
 		ws := hypergraph.NewVertexSet(h.NumVertices())
 		for step := 0; step < 15; step++ {
 			v := vs[rng.Intn(len(vs))]
@@ -222,7 +234,7 @@ func testTargetLPUncoverable(t *testing.T) {
 	b := h.Vertex("b")
 	iso := h.Vertex("iso")
 	h.AddEdgeSet("e", hypergraph.SetOf(a, b))
-	tl := NewTargetLP(h, h.Vertices())
+	tl := NewTargetLP(h)
 	if w, _ := tl.Solve(hypergraph.SetOf(a, iso)); w != nil {
 		t.Fatal("isolated vertex must be uncoverable")
 	}

@@ -7,10 +7,9 @@ import (
 	"hypertree/internal/hypergraph"
 )
 
-// Solve only at a fraction of DFS nodes, so sync spans multiple pushes
-// and pops at once (as the oracle's memo hits cause in practice). Under
-// the float path sync runs only on fallbacks, so the rational run is
-// the one that exercises multi-step syncs.
+// Solve only at a fraction of DFS nodes, so a Solve follows several
+// pushes and pops at once (as the oracle's memo hits cause in
+// practice) and must see exactly the current stack.
 func TestIncrementalSparseSolves(t *testing.T) {
 	eachPath(t, func(t *testing.T, _ bool) { testIncrementalSparseSolves(t) })
 }
@@ -19,7 +18,7 @@ func testIncrementalSparseSolves(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := hypergraph.RandomBIP(rng, 10, 8, 4, 2)
-		ic := NewIncremental(h.Vertices())
+		var ic Incremental
 		var atoms []hypergraph.VertexSet
 		for e := 0; e < h.NumEdges(); e++ {
 			atoms = append(atoms, h.Edge(e))
@@ -30,18 +29,13 @@ func testIncrementalSparseSolves(t *testing.T) {
 				return
 			}
 			got := ic.Solve()
-			ref := hypergraph.New()
-			for v := 0; v < h.NumVertices(); v++ {
-				ref.Vertex(h.VertexName(v))
-			}
 			union := hypergraph.NewVertexSet(h.NumVertices())
-			var es []int
-			for i, ai := range stack {
-				ref.AddEdgeSet("", atoms[ai])
+			var rows []hypergraph.VertexSet
+			for _, ai := range stack {
+				rows = append(rows, atoms[ai])
 				union = union.UnionInPlace(atoms[ai])
-				es = append(es, i)
 			}
-			want, _ := solveCoverRational(ref, es, union.Vertices())
+			want := primalCover(rows, union.Vertices())
 			if got == nil || want == nil || got.Cmp(want) != 0 {
 				t.Fatalf("seed %d stack %v: got %v want %v", seed, stack, got, want)
 			}
@@ -64,7 +58,7 @@ func testIncrementalSparseSolves(t *testing.T) {
 					continue
 				}
 				stack = append(stack, ai)
-				ic.Push(ai, atoms[ai])
+				ic.Push(atoms[ai])
 				walk(depth - 1)
 				ic.Pop()
 				stack = stack[:len(stack)-1]

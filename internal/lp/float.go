@@ -13,7 +13,7 @@ package lp
 // as trustworthy as one from Problem.Solve. Callers run an exact solver
 // whenever Solve reports false.
 //
-// The shape is the one WarmProblem serves, with integer data:
+// The shape is the dual ≤-form of the covering LPs, with integer data:
 //
 //	maximize c·y  subject to  Ay ≤ b,  y ≥ 0,  b ≥ 0,
 //
@@ -129,7 +129,7 @@ func (p *FloatProblem) Value(z *big.Rat) *big.Rat { return setFrac(z, p.pNum, p.
 func (p *FloatProblem) Dual(i int, z *big.Rat) *big.Rat { return setFrac(z, p.xNum[i], p.xDen) }
 
 // ApproxBytes is a flat estimate of the scratch p retains, for cache
-// budgeting (see WarmProblem.ApproxBytes).
+// budgeting.
 func (p *FloatProblem) ApproxBytes() int64 {
 	n := cap(p.a) + cap(p.b) + cap(p.c) + cap(p.tab) + cap(p.cost) +
 		cap(p.basis) + cap(p.nz) + cap(p.yNum) + cap(p.xNum)

@@ -5,16 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzSolve drives random small LPs through both engines: each byte
-// script builds a ≤-form maximization, solves it cold with
-// Problem.Solve, then replays objective toggles, row additions and row
-// retirements on a WarmProblem, cross-checking every warm re-solve
-// against a fresh cold solve and verifying the exact primal/dual
-// optimality certificates over the rationals. Every step also solves
-// the same LP float-first (FloatProblem): whenever its certificate
-// accepts, the optimum must equal the rational one exactly and its
-// duals must be a feasible dual of that weight. The CI parser-fuzz job
-// runs a short pass of this alongside the corpus decoder fuzzers.
+// FuzzSolve drives random small LPs through both solvers: each byte
+// script builds a ≤-form maximization, then replays objective toggles,
+// row additions and row retirements on its row list. After every step
+// Problem.Solve's answer is verified by the exact primal/dual
+// optimality certificate over the rationals, and the same LP is solved
+// float-first (FloatProblem): whenever its certificate accepts, the
+// optimum must equal the rational one exactly and its duals must be a
+// feasible dual of that weight. The CI parser-fuzz job runs a short
+// pass of this alongside the corpus decoder fuzzers.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{3, 3, 1, 1, 1, 0, 1, 2, 3})
 	f.Add([]byte{2, 1, 7, 0, 200, 1, 9})
@@ -30,11 +29,11 @@ func FuzzSolve(f *testing.F) {
 			return b
 		}
 		n := 1 + int(next())%4
-		w := NewWarm(n)
+		p := NewProblem(n)
+		p.Minimize = false
 		for j := 0; j < n; j++ {
-			w.SetObjective(j, RI(int64(next()%4)))
+			p.SetObjective(j, RI(int64(next()%4)))
 		}
-		var live []int
 		addRow := func() {
 			coef := make([]*big.Rat, n)
 			nz := false
@@ -47,134 +46,104 @@ func FuzzSolve(f *testing.F) {
 			if !nz {
 				coef[int(next())%n] = RI(1)
 			}
-			live = append(live, w.AddRow(coef, RI(int64(next()%5))))
+			p.AddConstraint(coef, LE, RI(int64(next()%5)))
 		}
 		addRow()
-		crossCheck(t, w)
+		crossCheck(t, p)
 		for steps := 0; steps < 8 && len(data) > 0; steps++ {
 			switch op := next() % 8; {
 			case op == 0:
 				addRow()
-			case op == 1 && len(live) > 1:
-				i := int(next()) % len(live)
-				w.RetireRow(live[i])
-				live = append(live[:i], live[i+1:]...)
-			case op == 2:
-				// Recycle the engine mid-script: a Reset to a different
-				// size must leave no stale state behind (the grid_2x4
-				// recycled-buffer regression).
-				n = 1 + int(next())%4
-				w.Reset(n)
-				live = live[:0]
-				for j := 0; j < n; j++ {
-					w.SetObjective(j, RI(int64(next()%4)))
-				}
-				addRow()
+			case op == 1 && len(p.Constraints) > 1:
+				i := int(next()) % len(p.Constraints)
+				p.Constraints = append(p.Constraints[:i], p.Constraints[i+1:]...)
 			default:
-				w.SetObjective(int(next())%n, RI(int64(next()%4)))
+				p.SetObjective(int(next())%n, RI(int64(next()%4)))
 			}
-			crossCheck(t, w)
+			crossCheck(t, p)
 		}
 	})
 }
 
-// crossCheck solves w (warm when possible) and its cold reconstruction
-// and compares outcomes exactly; on optimality it also verifies the
-// certificate.
-func crossCheck(t *testing.T, w *WarmProblem) {
+// crossCheck solves p, a ≤-form maximization with non-negative data,
+// and on optimality verifies the exact certificate and cross-checks the
+// float-first solve against it.
+func crossCheck(t *testing.T, p *Problem) {
 	t.Helper()
-	st, err := w.Solve()
-	if err != nil {
-		t.Fatalf("warm solve: %v", err)
-	}
-	p := NewProblem(w.nVars)
-	p.Minimize = false
-	for j := 0; j < w.nVars; j++ {
-		p.SetObjective(j, w.obj[j])
-	}
-	for _, r := range w.rows {
-		p.AddConstraint(r.coef, LE, r.rhs)
-	}
 	s, err := p.Solve()
 	if err != nil {
-		t.Fatalf("cold solve: %v", err)
+		t.Fatalf("solve: %v", err)
 	}
-	if (st == Unbounded) != (s.Status == Unbounded) {
-		t.Fatalf("warm status %v, cold status %v", st, s.Status)
-	}
-	if st != Optimal {
+	if s.Status != Optimal {
 		return
 	}
-	if w.Value().Cmp(s.Value) != 0 {
-		t.Fatalf("warm value %v ≠ cold value %v", w.Value().RatString(), s.Value.RatString())
-	}
-	crossCheckFloat(t, w, s.Value)
 	// Exact certificates: X primal-feasible and worth Value, duals ≥ 0,
 	// dual-feasible, and dual objective equal to Value (strong duality).
 	val := new(big.Rat)
 	var term big.Rat
-	for j := 0; j < w.nVars; j++ {
-		x := w.XVal(j)
+	for j, x := range s.X {
 		if x.Sign() < 0 {
 			t.Fatalf("x[%d] = %v negative", j, x)
 		}
-		val.Add(val, term.Mul(w.obj[j], x))
+		val.Add(val, term.Mul(p.Objective[j], x))
 	}
-	if val.Cmp(w.Value()) != 0 {
-		t.Fatalf("obj·X = %v, Value = %v", val, w.Value())
+	if val.Cmp(s.Value) != 0 {
+		t.Fatalf("obj·X = %v, Value = %v", val, s.Value)
 	}
 	dualVal := new(big.Rat)
-	for _, r := range w.rows {
+	for i, r := range p.Constraints {
 		lhs := new(big.Rat)
-		for j, c := range r.coef {
-			if c != nil {
-				lhs.Add(lhs, term.Mul(c, w.XVal(j)))
-			}
+		for j, c := range r.Coef {
+			lhs.Add(lhs, term.Mul(c, s.X[j]))
 		}
-		if lhs.Cmp(r.rhs) > 0 {
-			t.Fatalf("row %d violated: %v > %v", r.id, lhs, r.rhs)
+		if lhs.Cmp(r.RHS) > 0 {
+			t.Fatalf("row %d violated: %v > %v", i, lhs, r.RHS)
 		}
-		y := w.RowDual(r.id)
+		y := s.RowDuals[i]
 		if y.Sign() < 0 {
-			t.Fatalf("dual %d negative: %v", r.id, y)
+			t.Fatalf("dual %d negative: %v", i, y)
 		}
-		dualVal.Add(dualVal, term.Mul(y, r.rhs))
+		dualVal.Add(dualVal, term.Mul(y, r.RHS))
 	}
-	if dualVal.Cmp(w.Value()) != 0 {
-		t.Fatalf("dual objective %v ≠ primal %v", dualVal, w.Value())
+	if dualVal.Cmp(s.Value) != 0 {
+		t.Fatalf("dual objective %v ≠ primal %v", dualVal, s.Value)
 	}
-	for j := 0; j < w.nVars; j++ {
+	checkDualFeasible(t, p, s.RowDuals, "rational")
+	crossCheckFloat(t, p, s.Value)
+}
+
+// checkDualFeasible verifies Aᵀy ≥ c for row duals y of p.
+func checkDualFeasible(t *testing.T, p *Problem, y []*big.Rat, what string) {
+	t.Helper()
+	var term big.Rat
+	for j := 0; j < p.NumVars; j++ {
 		lhs := new(big.Rat)
-		for _, r := range w.rows {
-			if j < len(r.coef) && r.coef[j] != nil {
-				lhs.Add(lhs, term.Mul(w.RowDual(r.id), r.coef[j]))
-			}
+		for i, r := range p.Constraints {
+			lhs.Add(lhs, term.Mul(y[i], r.Coef[j]))
 		}
-		if lhs.Cmp(w.obj[j]) < 0 {
-			t.Fatalf("dual infeasible at variable %d: %v < %v", j, lhs, w.obj[j])
+		if lhs.Cmp(p.Objective[j]) < 0 {
+			t.Fatalf("%s dual infeasible at variable %d: %v < %v", what, j, lhs, p.Objective[j])
 		}
 	}
 }
 
-// crossCheckFloat solves w's current LP float-first and, when the
-// certificate accepts, checks the answer against the rational optimum
-// want: equal value, and duals x ≥ 0 with Aᵀx ≥ c and b·x = want. Under
-// degeneracy the duals may differ from the rational engine's, so they
-// are checked for validity, not equality.
-func crossCheckFloat(t *testing.T, w *WarmProblem, want *big.Rat) {
+// crossCheckFloat solves p float-first and, when the certificate
+// accepts, checks the answer against the rational optimum want: equal
+// value, and duals x ≥ 0 with Aᵀx ≥ c and b·x = want. Under degeneracy
+// the duals may differ from the rational solver's, so they are checked
+// for validity, not equality.
+func crossCheckFloat(t *testing.T, p *Problem, want *big.Rat) {
 	t.Helper()
 	var fp FloatProblem
-	fp.Reset(len(w.rows), w.nVars)
-	for j := 0; j < w.nVars; j++ {
-		fp.SetObjective(j, w.obj[j].Num().Int64())
+	fp.Reset(len(p.Constraints), p.NumVars)
+	for j, c := range p.Objective {
+		fp.SetObjective(j, c.Num().Int64())
 	}
-	for i, r := range w.rows {
-		for j, c := range r.coef {
-			if c != nil {
-				fp.SetCoef(i, j, c.Num().Int64())
-			}
+	for i, r := range p.Constraints {
+		for j, c := range r.Coef {
+			fp.SetCoef(i, j, c.Num().Int64())
 		}
-		fp.SetRHS(i, r.rhs.Num().Int64())
+		fp.SetRHS(i, r.RHS.Num().Int64())
 	}
 	if !fp.Solve() {
 		return
@@ -184,26 +153,16 @@ func crossCheckFloat(t *testing.T, w *WarmProblem, want *big.Rat) {
 	}
 	var term big.Rat
 	dualVal := new(big.Rat)
-	x := make([]*big.Rat, len(w.rows))
-	for i, r := range w.rows {
+	x := make([]*big.Rat, len(p.Constraints))
+	for i, r := range p.Constraints {
 		x[i] = fp.Dual(i, new(big.Rat))
 		if x[i].Sign() < 0 {
 			t.Fatalf("float-first dual %d negative: %v", i, x[i])
 		}
-		dualVal.Add(dualVal, term.Mul(x[i], r.rhs))
+		dualVal.Add(dualVal, term.Mul(x[i], r.RHS))
 	}
 	if dualVal.Cmp(want) != 0 {
 		t.Fatalf("float-first dual objective %v ≠ optimum %v", dualVal, want)
 	}
-	for j := 0; j < w.nVars; j++ {
-		lhs := new(big.Rat)
-		for i, r := range w.rows {
-			if j < len(r.coef) && r.coef[j] != nil {
-				lhs.Add(lhs, term.Mul(x[i], r.coef[j]))
-			}
-		}
-		if lhs.Cmp(w.obj[j]) < 0 {
-			t.Fatalf("float-first dual infeasible at variable %d: %v < %v", j, lhs, w.obj[j])
-		}
-	}
+	checkDualFeasible(t, p, x, "float-first")
 }

@@ -1,8 +1,7 @@
 // Package lp implements exact linear programming over rational numbers
 // (math/big.Rat): a two-phase simplex with Bland's anti-cycling pivot
-// rule (Problem), an incremental warm-started variant for ≤-form
-// maximizations (WarmProblem), and a float-first solver for the same
-// shape with integer data (FloatProblem).
+// rule (Problem), and a float-first solver for ≤-form maximizations
+// with integer data (FloatProblem).
 //
 // The paper's algorithms repeatedly decide questions of the form
 // "does this vertex set have a fractional edge cover of weight ≤ k?"

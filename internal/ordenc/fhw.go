@@ -51,8 +51,8 @@ type FHWSearch struct {
 }
 
 // NewFHWSearch prepares the arcs-only encoding. basis may be nil (a
-// private cache is created); passing one shares warm LP bases with a
-// caller's loop.
+// private pool is created); passing one pools the LP solvers, and
+// their counters, with a caller's loop.
 func NewFHWSearch(h *hypergraph.Hypergraph, basis *cover.BasisCache) (*FHWSearch, error) {
 	enc, err := newEncoder(h, false, 0)
 	if err != nil {
@@ -64,25 +64,20 @@ func NewFHWSearch(h *hypergraph.Hypergraph, basis *cover.BasisCache) (*FHWSearch
 	return &FHWSearch{h: h, enc: enc, basis: basis, rho: make(map[string]*big.Rat)}, nil
 }
 
-// price returns ρ*(bag), memoized, with LP warm-starting through the
-// basis cache.
+// price returns ρ*(bag), memoized, solved by a solver borrowed from the
+// pool.
 func (f *FHWSearch) price(bag hypergraph.VertexSet) *big.Rat {
 	key := bag.Key()
 	if r, ok := f.rho[key]; ok {
 		return r
 	}
 	f.stats.PricedBags++
-	ic := f.basis.Get(bag)
-	pushed := 0
+	ic := f.basis.Get()
 	for _, ei := range f.coveringEdges(bag) {
-		ic.Push(ei, f.h.Edge(ei).Intersect(bag))
-		pushed++
+		ic.Push(f.h.Edge(ei).Intersect(bag))
 	}
 	r := new(big.Rat).Set(ic.Solve())
-	for ; pushed > 0; pushed-- {
-		ic.Pop()
-	}
-	f.basis.Put(bag, ic)
+	f.basis.Put(ic)
 	f.rho[key] = r
 	return r
 }
@@ -213,7 +208,7 @@ func (f *FHWSearch) RefineBelow(done <-chan struct{}, w *big.Rat) (*decomp.Decom
 // Stats returns the accumulated solver and pricing statistics.
 func (f *FHWSearch) Stats() Stats { return f.stats }
 
-// Basis exposes the LP basis cache for telemetry flushing.
+// Basis exposes the LP solver pool for telemetry flushing.
 func (f *FHWSearch) Basis() *cover.BasisCache { return f.basis }
 
 // WriteDIMACS dumps the arcs-only clause database (without blocking

@@ -16,7 +16,7 @@
 // same encoding is a lower-bound oracle only (ghw ≤ hw; the special
 // condition is not expressed). The fractional measure reuses the
 // ordering/arc core without weight variables and prices bags through
-// the warm LP engine instead — see fhw.go.
+// cover LPs instead — see fhw.go.
 //
 // Width bounds enter exclusively through assumptions on the counter
 // registers, so one solver instance refines k incrementally: learned

@@ -56,7 +56,7 @@ func runApproxLogN(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt 
 	d, st, err := approx.LogN(ctx, bh, approx.Options{Integral: opt.Measure == GHW})
 	if st != nil {
 		mApproxSepRetries.Add(int64(st.SepRetries))
-		flushLP(tr, st.Warm)
+		flushLP(tr, st.LP)
 		tr.AddCounters(telemetry.Counters{ApproxRuns: 1, ApproxSepRetries: int64(st.SepRetries)})
 	}
 	if err != nil {
@@ -92,7 +92,7 @@ func improveWitness(ctx context.Context, bh *hypergraph.Hypergraph, r *race, bas
 	})
 	if st != nil {
 		mApproxImprovePasses.Add(int64(st.Passes))
-		flushLP(tr, st.Warm)
+		flushLP(tr, st.LP)
 		tr.AddCounters(telemetry.Counters{ApproxImprovePasses: int64(st.Passes)})
 		if st.Passes > 0 {
 			tr.Eventf("approx_improve", "block=%d passes=%d pruned=%d repriced=%d splits=%d",

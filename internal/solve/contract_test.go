@@ -10,15 +10,20 @@ import (
 	"bufio"
 	"context"
 	"math/big"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"hypertree/internal/core"
 	"hypertree/internal/corpus"
+	"hypertree/internal/cover"
+	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
 	"hypertree/internal/solve"
+	"hypertree/internal/telemetry"
 )
 
 const contractCorpusDir = "../../testdata/corpus"
@@ -165,4 +170,68 @@ func TestGHWDetkLaneDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFloatCertificateCoversInRepoLPs guards the premise that the cover
+// LPs need no warm-started rational engine: on the in-repo fhw traffic
+// every counted cover LP is answered float-first under the exact
+// certificate, and the cold rational fallback never runs. The traffic
+// is a traced fhw Solve of every golden corpus instance (with the exact
+// DP on, and gated off so the LP-pricing lanes do the work) plus the
+// CheckFHD inputs of hgbench's E08. If this fails, the fallback is on a
+// measured path and its cost needs measuring.
+func TestFloatCertificateCoversInRepoLPs(t *testing.T) {
+	golden := contractGolden(t)
+	ins, err := corpus.LoadDir(contractCorpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c telemetry.Counters
+	for _, in := range ins {
+		if _, ok := golden[in.Name]; !ok {
+			continue
+		}
+		h, _, err := in.Read()
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		for _, dpLimit := range []int{0, 1} {
+			ctx, tr := telemetry.WithTrace(context.Background())
+			r, err := solve.Solve(ctx, h, solve.Options{
+				Measure: solve.FHW, ExactVertexLimit: dpLimit, Timeout: 30 * time.Second,
+			})
+			if err != nil || !r.Exact {
+				t.Fatalf("%s (dp limit %d): %v, exact=%v", in.Name, dpLimit, err, r.Exact)
+			}
+			s := tr.Summary().Counters
+			c.LPSolves += s.LPSolves
+			c.LPFloat += s.LPFloat
+			c.LPCold += s.LPCold
+		}
+	}
+	// hgbench E08 at its default seed: CheckFHD at and just below the
+	// exact fhw of random bounded-degree hypergraphs.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		h := hypergraph.RandomBoundedDegree(rng, 7, 5, 3, 2)
+		fhw, _ := core.ExactFHW(h)
+		if fhw == nil {
+			continue
+		}
+		basis := cover.NewBasisCache(0)
+		for _, k := range []*big.Rat{fhw, new(big.Rat).Sub(fhw, lp.R(1, 100))} {
+			if _, err := core.CheckFHD(h, k, core.FHDOptions{Basis: basis}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ls := basis.LPStats()
+		c.LPSolves += int64(ls.Solves)
+		c.LPFloat += int64(ls.FloatSolves)
+		c.LPCold += int64(ls.ColdStarts)
+	}
+	if c.LPSolves == 0 || c.LPCold != 0 || c.LPFloat != c.LPSolves {
+		t.Fatalf("cover LPs: solves=%d float=%d cold=%d, want every solve float-first",
+			c.LPSolves, c.LPFloat, c.LPCold)
+	}
+	t.Logf("cover LPs: %d solves, all float-first", c.LPSolves)
 }

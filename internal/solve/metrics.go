@@ -14,7 +14,6 @@ package solve
 import (
 	"hypertree/internal/core"
 	"hypertree/internal/cover"
-	"hypertree/internal/lp"
 	"hypertree/internal/ordenc"
 	"hypertree/internal/telemetry"
 )
@@ -36,15 +35,16 @@ var (
 	mResultCacheMisses = telemetry.Default().NewCounter("hg_result_cache_misses_total",
 		"cache-enabled solves that had to compute")
 
+	// Always 0: kept until the repository benchmark drops its basis metrics.
 	mBasisHits = telemetry.Default().NewCounter("hg_basis_cache_hits_total",
-		"cover-LP solvers revived with a warm basis")
+		"always 0: cover-LP solvers keep no basis to revive")
 	mBasisMisses = telemetry.Default().NewCounter("hg_basis_cache_misses_total",
-		"cover-LP solver borrows answered cold")
+		"cover-LP solver borrows from the solver pool")
 	mBasisEvictions = telemetry.Default().NewCounter("hg_basis_cache_evictions_total",
-		"warm bases dropped by the byte budget")
+		"returned cover-LP solvers dropped by the pool's byte budget")
 
 	mLPSolves = telemetry.Default().NewCounterVec("hg_lp_solves_total",
-		"cover-LP solves by path: float-first or a warm-engine path", "path")
+		"cover-LP solves by path: float-first or cold rational", "path")
 
 	mSATSolves = telemetry.Default().NewCounter("hg_sat_solves_total",
 		"CDCL solver calls issued by the sat-ord strategy")
@@ -61,7 +61,7 @@ var (
 	mSATBlocked = telemetry.Default().NewCounter("hg_sat_blocking_clauses_total",
 		"guarded blocking clauses installed by the fhw LP-hybrid path")
 	mSATPricedBags = telemetry.Default().NewCounter("hg_sat_priced_bags_total",
-		"decoded bags priced through the warm cover LP by the fhw path")
+		"decoded bags priced through the cover LP by the fhw path")
 	mSATRebuilds = telemetry.Default().NewCounter("hg_sat_rebuilds_total",
 		"encoder rebuilds that discarded learned clauses (kCap growth)")
 
@@ -135,36 +135,30 @@ func engineCounters(es *core.EngineStats) telemetry.Counters {
 	}
 }
 
-// flushBasis publishes a retired loop's basis-cache and cover-LP
+// flushBasis publishes a retired loop's solver-pool and cover-LP
 // aggregates: always into the process-wide counters, plus into the
-// trace when the request has one. The basis cache retains every solver
-// it ever handed out (displaced and evicted ones land on its free
-// list), so its WarmStats are cumulative over the loop.
+// trace when the request has one. Every borrow counts as a basis-cache
+// miss. The pool folds in the LP counters of every solver returned to
+// it, so once the loop has retired they cover all of its solves.
 func flushBasis(tr *telemetry.Trace, basis *cover.BasisCache) {
 	bs := basis.Stats()
-	mBasisHits.Add(int64(bs.Hits))
-	mBasisMisses.Add(int64(bs.Misses))
+	mBasisMisses.Add(int64(bs.Borrows))
 	mBasisEvictions.Add(int64(bs.Evictions))
-	flushLP(tr, basis.WarmStats())
+	flushLP(tr, basis.LPStats())
 	tr.AddCounters(telemetry.Counters{
-		BasisHits: int64(bs.Hits), BasisMisses: int64(bs.Misses),
-		BasisEvictions: int64(bs.Evictions),
+		BasisMisses: int64(bs.Borrows), BasisEvictions: int64(bs.Evictions),
 	})
 }
 
 // flushLP publishes a retired loop's cover-LP path mix into the
 // process-wide hg_lp_solves_total and, when present, the request trace.
-// The paths partition the solves.
-func flushLP(tr *telemetry.Trace, ws lp.WarmStats) {
-	mLPSolves.With("float").Add(int64(ws.FloatSolves))
-	mLPSolves.With("cold").Add(int64(ws.ColdStarts))
-	mLPSolves.With("noop").Add(int64(ws.NoopSolves))
-	mLPSolves.With("primal").Add(int64(ws.PrimalSolves))
-	mLPSolves.With("dual").Add(int64(ws.DualSolves))
+// The two paths partition the solves.
+func flushLP(tr *telemetry.Trace, st cover.LPStats) {
+	mLPSolves.With("float").Add(int64(st.FloatSolves))
+	mLPSolves.With("cold").Add(int64(st.ColdStarts))
 	tr.AddCounters(telemetry.Counters{
-		LPSolves: int64(ws.Solves), LPFloat: int64(ws.FloatSolves),
-		LPCold: int64(ws.ColdStarts), LPNoop: int64(ws.NoopSolves),
-		LPPrimal: int64(ws.PrimalSolves), LPDual: int64(ws.DualSolves),
+		LPSolves: int64(st.Solves), LPFloat: int64(st.FloatSolves),
+		LPCold: int64(st.ColdStarts),
 	})
 }
 

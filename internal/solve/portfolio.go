@@ -36,7 +36,7 @@ import (
 //	fhw:  fractional clique lower bound; exact elimination DP for small
 //	      blocks; min-fill FHD (plus local improvement) and the log n
 //	      approximation as fast upper bounds; sat-ord LP-hybrid (SAT
-//	      fixes orderings, the warm LP prices bags) which refines
+//	      fixes orderings, the cover LP prices bags) which refines
 //	      accepted levels down to the exact fractional width. The
 //	      paper's Check(FHD,k) is not raced: deciding fhw ≤ k is
 //	      NP-complete even for k = 2, so it could only offer upper

@@ -17,7 +17,7 @@ package solve
 //	      (deepenHD) offers hw witnesses as ghw upper bounds, so each
 //	      race takes from the other measure the bound side it can
 //	      prove cheaply.
-//	fhw:  the SAT core fixes orderings, the warm LP engine prices every
+//	fhw:  the SAT core fixes orderings, the cover LP prices every
 //	      decoded bag; an accepted level yields a witness at its exact
 //	      fractional width, then RefineBelow sweeps the bound down until
 //	      UNSAT proves exactness.

@@ -6,7 +6,7 @@ package telemetry
 // Producers (internal/solve) record preprocessing stats, each portfolio
 // strategy's start/stop with wall time, every iterative-deepening
 // k-step, cache lookups, and — on completion — a snapshot of the engine
-// memo, DynComponents, warm-LP and basis-cache counters their request
+// memo, DynComponents, cover-LP and basis-cache counters their request
 // actually incurred. Consumers render it three ways: hgserve embeds the
 // Summary in /width and /decompose responses under ?trace=1 and in its
 // access log, hgwidth -stats prints it through WriteText, and the
@@ -62,7 +62,8 @@ type Event struct {
 // engine runs, cover LPs and caches did, summed over every strategy and
 // block of the request. Field groups mirror the process-wide metrics
 // (OBSERVABILITY.md): engine memo behavior, DynComponents reuse, cover-LP
-// path mix (float-first or one of the warm paths), and the basis- and result-cache hit/miss pairs.
+// path mix (float-first or cold rational), and the basis- and
+// result-cache hit/miss pairs.
 type Counters struct {
 	EngineSubproblems int64 `json:"engine_subproblems,omitempty"`
 	EngineMemoHits    int64 `json:"engine_memo_hits,omitempty"`
@@ -75,9 +76,6 @@ type Counters struct {
 
 	LPSolves int64 `json:"lp_solves,omitempty"`
 	LPCold   int64 `json:"lp_cold,omitempty"`
-	LPNoop   int64 `json:"lp_noop,omitempty"`
-	LPPrimal int64 `json:"lp_primal,omitempty"`
-	LPDual   int64 `json:"lp_dual,omitempty"`
 	LPFloat  int64 `json:"lp_float,omitempty"`
 
 	BasisHits      int64 `json:"basis_hits,omitempty"`
@@ -114,9 +112,6 @@ func (c *Counters) add(o Counters) {
 	c.EngineParContention += o.EngineParContention
 	c.LPSolves += o.LPSolves
 	c.LPCold += o.LPCold
-	c.LPNoop += o.LPNoop
-	c.LPPrimal += o.LPPrimal
-	c.LPDual += o.LPDual
 	c.LPFloat += o.LPFloat
 	c.BasisHits += o.BasisHits
 	c.BasisMisses += o.BasisMisses
@@ -278,10 +273,9 @@ func (s *Summary) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  parallel: workers=%d spec_canceled=%d shard_contention=%d\n",
 			c.EngineParWorkers, c.EngineParSpecCanceled, c.EngineParContention)
 	}
-	fmt.Fprintf(w, "  lp: solves=%d float=%d cold=%d noop=%d primal=%d dual=%d\n",
-		c.LPSolves, c.LPFloat, c.LPCold, c.LPNoop, c.LPPrimal, c.LPDual)
-	fmt.Fprintf(w, "  caches: basis=%d/%d (evict %d) result=%d/%d\n",
-		c.BasisHits, c.BasisHits+c.BasisMisses, c.BasisEvictions,
+	fmt.Fprintf(w, "  lp: solves=%d float=%d cold=%d\n", c.LPSolves, c.LPFloat, c.LPCold)
+	fmt.Fprintf(w, "  caches: lp_pool=%d borrows (evict %d) result=%d/%d\n",
+		c.BasisMisses, c.BasisEvictions,
 		c.ResultCacheHits, c.ResultCacheHits+c.ResultCacheMisses)
 	if c.ApproxRuns > 0 || c.ApproxImprovePasses > 0 {
 		fmt.Fprintf(w, "  approx: runs=%d sep_retries=%d improve_passes=%d improved=%d\n",
