@@ -179,10 +179,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opt := corpus.RunOptions{
-		Measure:     measure,
-		Timeout:     budget,
-		Shards:      s.workers,
-		Parallelism: batchParallelism(s.solveProcs, len(items), s.workers),
+		Measure: measure,
+		Timeout: budget,
+		Shards:  s.workers,
 		Gate: func(ctx context.Context) (func(), error) {
 			select {
 			case s.sem <- struct{}{}:
@@ -199,24 +198,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// emitted but still leave the queue.
 	s.batchQueued.Add(int64(emitted - len(items)))
 	writeLine(batchDoneLine{Type: "done", Total: len(items), Errors: errCount, ElapsedMS: time.Since(start).Milliseconds()})
-}
-
-// batchParallelism resolves the intra-solve engine parallelism for one
-// batch. Batch instances borrow worker-pool slots individually, so a
-// batch at least as large as the pool keeps every slot busy for its
-// whole duration — instance-level sharding already saturates the CPUs
-// and intra-solve workers on top would oversubscribe (a 4096-instance
-// batch on an 8-worker pool must not fan out 8×solveProcs goroutines).
-// Such batches are forced to serial engines; smaller batches, which
-// leave pool slots idle, keep the configured -solve-procs.
-func batchParallelism(solveProcs, instances, workers int) int {
-	if solveProcs <= 1 {
-		return 1
-	}
-	if instances >= workers {
-		return 1
-	}
-	return solveProcs
 }
 
 // parseBatchInstance builds one instance's hypergraph from whichever

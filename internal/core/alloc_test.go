@@ -17,15 +17,10 @@ import (
 // these bounds keep from silently regressing. The bounds carry ~50%
 // headroom over the measured counts (GHD ≈ 200, HD ≈ 101, FHD ≈ 6500 on
 // grid 2×3; the pre-PR-6 engine sat at 289 for the GHD run).
-//
-// Since PR 8 the engine has a parallel mode; Parallelism: 1 is the
-// contract-level "exact serial search" and the pins request it
-// explicitly, so they hold on any host regardless of GOMAXPROCS and of
-// the auto-parallel size gate.
 
 func TestCheckGHDSteadyStateAllocBound(t *testing.T) {
 	g := hypergraph.Grid(2, 3)
-	opt := core.Options{Parallelism: 1}
+	opt := core.Options{}
 	core.CheckGHDViaBIP(g, 2, opt) // warm pools and arenas
 	if n := testing.AllocsPerRun(30, func() {
 		core.CheckGHDViaBIP(g, 2, opt)
@@ -36,7 +31,7 @@ func TestCheckGHDSteadyStateAllocBound(t *testing.T) {
 
 func TestCheckHDSteadyStateAllocBound(t *testing.T) {
 	g := hypergraph.Grid(2, 3)
-	opt := core.Options{Parallelism: 1}
+	opt := core.Options{}
 	core.CheckHDOpt(g, 3, opt)
 	if n := testing.AllocsPerRun(30, func() {
 		core.CheckHDOpt(g, 3, opt)
@@ -51,7 +46,7 @@ func TestCheckFHDSteadyStateAllocBound(t *testing.T) {
 	// de-pooled scratch path.
 	g := hypergraph.Grid(2, 3)
 	k := lp.RI(2)
-	opt := core.FHDOptions{Parallelism: 1}
+	opt := core.FHDOptions{}
 	core.CheckFHD(g, k, opt)
 	if n := testing.AllocsPerRun(10, func() {
 		core.CheckFHD(g, k, opt)

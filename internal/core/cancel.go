@@ -61,7 +61,7 @@ func CheckHDStatsCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, stats
 }
 
 // CheckHDOptCtx is CheckHDOpt under a context: cancellable, with the
-// stats sink and parallelism knobs of Options.
+// stats sink of Options.
 func CheckHDOptCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, opt Options) (d *decomp.Decomp, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -62,3 +62,23 @@ func TestCancellationUnwinds(t *testing.T) {
 		t.Fatalf("cancelled searches took %v to unwind", elapsed)
 	}
 }
+
+// TestCheckHDDeadlineMidSearch: a deadline that fires inside a running
+// search unwinds into context.DeadlineExceeded, never with a witness.
+func TestCheckHDDeadlineMidSearch(t *testing.T) {
+	// The full Check(HD,2) rejection sweep on the 6×6 grid takes far
+	// longer than 1ms, so the deadline always fires mid-search.
+	h := hypergraph.Grid(6, 6)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	d, err := CheckHDCtx(ctx, h, 2)
+	if err == nil && d == nil {
+		t.Skip("search finished inside the deadline; nothing to assert")
+	}
+	if err != context.DeadlineExceeded {
+		t.Fatalf("want DeadlineExceeded, got (%v, %v)", d != nil, err)
+	}
+	if d != nil {
+		t.Fatal("canceled run returned a witness")
+	}
+}

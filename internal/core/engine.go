@@ -161,25 +161,11 @@ type engine struct {
 	compBuf  []*hypergraph.DynComp
 
 	// Run counters, accumulated as plain ints (no atomics on the hot
-	// path — each engine is single-goroutine even in a parallel run) and
-	// flushed once in finish() — to the process-wide telemetry counters
-	// and, when the caller threaded one through, to sink; worker engines
-	// of a parallel run flush into the run's aggregate instead.
+	// path — an engine is single-goroutine) and flushed once in
+	// finish() — to the process-wide telemetry counters and, when the
+	// caller threaded one through, to sink.
 	stats EngineStats
 	sink  *EngineStats
-
-	// Parallel-run wiring (parallel.go). par is the shared run state
-	// (nil = serial: the private intern/memo above are used and nothing
-	// else below matters). A speculative root worker carries its slice
-	// of the top-level guess list in specStride/specOffset and enters
-	// its first decompose with specRoot set; rootActive is true while
-	// that root subproblem's oracle enumeration is on the stack, which
-	// is what scopes specSkip to the root guess list only.
-	par        *parRun
-	specStride int
-	specOffset int
-	specRoot   bool
-	rootActive bool
 }
 
 func newEngine(h *hypergraph.Hypergraph, o coverOracle, trim bool, done <-chan struct{}) *engine {
@@ -266,39 +252,27 @@ func (e *engine) poll() {
 func (e *engine) decompose(c hypergraph.VertexSet, st engineState) (engineKey, bool) {
 	e.poll()
 	// Consume the base seed unconditionally — a memo hit must not leak
-	// it to the next decompose call. Same for the speculative-root flag:
-	// only the first decompose of a root worker partitions its guesses.
+	// it to the next decompose call.
 	seedEV := e.dynSeed
 	e.dynSeed = nil
-	specRoot := e.specRoot
-	e.specRoot = false
-	cid, c := e.internSet(c)
-	aid, a := e.internSet(st.a)
-	key := engineKey{c: cid, a: aid, b: -1}
+	cid, c, _ := e.intern.Intern(c)
+	aid, a, _ := e.intern.Intern(st.a)
+	key := engineKey{c: int32(cid), a: int32(aid), b: -1}
 	st.a = a
 	if st.b != nil {
-		bid, b := e.internSet(st.b)
-		key.b = bid
+		bid, b, _ := e.intern.Intern(st.b)
+		key.b = int32(bid)
 		st.b = b
 	}
-	// A speculative root worker skips the lookup: the root key may hold
-	// a sibling's failure on its own slice of the guess list, which says
-	// nothing about this worker's slice. (Child keys can never collide
-	// with the root — components strictly shrink — so every non-root
-	// entry is a full, trustworthy enumeration.)
-	if !specRoot {
-		if n, done := e.memoGet(key); done {
-			e.stats.MemoHits++
-			return key, n != nil
-		}
+	if n, done := e.memo[key]; done {
+		e.stats.MemoHits++
+		return key, n != nil
 	}
 	var prevDyn *hypergraph.DynComponents
 	if e.useDyn {
 		prevDyn = e.dyn
 		e.dyn = e.getDyn(c, seedEV)
 	}
-	prevRoot := e.rootActive
-	e.rootActive = specRoot
 	var node *engineNode
 	e.oracle.guesses(e, c, st, func(g engineGuess) bool {
 		// Progress invariant: a bag disjoint from C would recreate the
@@ -318,12 +292,11 @@ func (e *engine) decompose(c hypergraph.VertexSet, st engineState) (engineKey, b
 		}
 		return true
 	})
-	e.rootActive = prevRoot
 	if e.useDyn {
 		e.dynFree = append(e.dynFree, e.dyn)
 		e.dyn = prevDyn
 	}
-	e.memoPut(key, node)
+	e.memo[key] = node
 	e.stats.Subproblems++
 	return key, node != nil
 }
@@ -351,26 +324,21 @@ func (e *engine) tryChildren(c hypergraph.VertexSet, g engineGuess) (hypergraph.
 	if e.dyn != nil {
 		cmMark := len(e.compBuf)
 		e.compBuf = e.dyn.Components(e.compBuf)
-		comps := e.compBuf[cmMark:]
-		if e.par != nil && len(comps) > 1 && e.par.budget.Free() > 0 {
-			ok = e.parChildren(bag, g, comps)
-		} else {
-			for _, comp := range comps {
-				var cst engineState
-				if g.childState != nil {
-					cst = *g.childState
-				} else {
-					e.wc = e.wc.CopyFrom(comp.EdgeVerts).IntersectInPlace(bag)
-					cst = engineState{a: e.wc}
-				}
-				e.dynSeed = comp.EdgeVerts
-				ck, cok := e.decompose(comp.Verts, cst)
-				if !cok {
-					ok = false
-					break
-				}
-				e.childBuf = append(e.childBuf, ck)
+		for _, comp := range e.compBuf[cmMark:] {
+			var cst engineState
+			if g.childState != nil {
+				cst = *g.childState
+			} else {
+				e.wc = e.wc.CopyFrom(comp.EdgeVerts).IntersectInPlace(bag)
+				cst = engineState{a: e.wc}
 			}
+			e.dynSeed = comp.EdgeVerts
+			ck, cok := e.decompose(comp.Verts, cst)
+			if !cok {
+				ok = false
+				break
+			}
+			e.childBuf = append(e.childBuf, ck)
 		}
 		e.compBuf = e.compBuf[:cmMark]
 	} else {
@@ -416,7 +384,7 @@ func (e *engine) connector(comp, bag hypergraph.VertexSet) hypergraph.VertexSet 
 // Under trim, non-root bags follow the witness-tree definition after
 // Algorithm 3: B_s = B(γ_s) ∩ (B_r ∪ comp(s)).
 func (e *engine) build(d *decomp.Decomp, parent int, key engineKey, parentBag hypergraph.VertexSet) {
-	n, _ := e.memoGet(key)
+	n := e.memo[key]
 	bag := n.bag
 	if e.trim && parent >= 0 {
 		bag = n.bag.Intersect(parentBag.Union(n.comp))

@@ -389,3 +389,13 @@ func TestGHDSubedgeCapStillTriggers(t *testing.T) {
 		t.Fatalf("CheckGHDViaBIP(H0, 2) = (%v, %v), want witness", d != nil, err)
 	}
 }
+
+// TestGHDExactSubedgeCapSurfaces — when the f⁺ closure trips its cap
+// the run must return the error, never a clean "no": failures under a
+// capped closure cannot be trusted.
+func TestGHDExactSubedgeCapSurfaces(t *testing.T) {
+	d, err := CheckGHDExact(hypergraph.Clique(6), 2, Options{MaxSubedges: 4})
+	if err == nil {
+		t.Fatalf("CheckGHDExact(K6, 2) with a 4-subedge cap = (%v, nil), want the cap error", d != nil)
+	}
+}

@@ -31,22 +31,16 @@ type FHDOptions struct {
 	// Basis, when non-nil, is the solver pool the run draws its cover-LP
 	// solvers from, and whose LP counters then include the run's solves.
 	// When nil the run uses a private pool. A BasisCache is not safe for
-	// concurrent use — do not share across parallel strategies; for the
-	// same reason runs with effective Parallelism > 1 give every worker
-	// its own pool and only fold the workers' counters into this one
-	// when the run retires.
+	// concurrent use — do not share across parallel strategies.
 	Basis *cover.BasisCache
 	// Stats, when non-nil, receives the engine's run counters on
 	// completion (added, so one sink can accumulate across deepening
 	// levels). Leave nil when not tracing: the nil path adds nothing to
 	// the run.
 	Stats *EngineStats
-	// Parallelism bounds the CPU workers the run may use; see
-	// Options.Parallelism — the semantics (1 = exact serial search,
-	// explicit n obeyed, 0 = size-gated GOMAXPROCS) are identical.
+	// Deprecated: ignored; every run is the serial search. Kept only so
+	// perfbench/ compiles; removed with the ROADMAP's Stage 1 names.
 	Parallelism int
-	// Budget is the shared CPU-token pool; see Options.Budget.
-	Budget *Budget
 }
 
 // fhdAtom is one candidate bag contribution for the FHD oracle: a
@@ -108,8 +102,7 @@ type fhdOracle struct {
 	supports hypergraph.Interner      // interned chosen-atom id sets
 	lpMemo   map[int]map[int]*big.Rat // support id → atom id → weight (nil = no cover ≤ k)
 
-	basis  *cover.BasisCache // pooled cover-LP solvers
-	parent *cover.BasisCache // parallel workers: the run's pool, absorbing basis on retire
+	basis *cover.BasisCache // pooled cover-LP solvers
 
 	// Scratch buffers; each is fully consumed before the engine recurses.
 	scope, b hypergraph.VertexSet
@@ -199,11 +192,6 @@ func (o *fhdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 					break
 				}
 			}
-			// Speculative root partition (parallel runs only): first
-			// atoms belonging to another worker's slice are skipped.
-			if e.specSkip(len(o.choBuf) == choMark, i) {
-				continue
-			}
 			a := o.ordBuf[ordMark+i]
 			o.choBuf = append(o.choBuf, a)
 			inc.Push(a.set)
@@ -226,17 +214,6 @@ func (o *fhdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 // dynAware: the support stack above is mirrored into the engine's
 // incremental component structure.
 func (o *fhdOracle) dynAware() {}
-
-// oracleErr exposes the sideways failure to parallel runs (errOracle).
-func (o *fhdOracle) oracleErr() error { return o.err }
-
-// retire folds a parallel worker's private pool into the run's
-// (retirer), so the LP solves the worker ran reach the caller's counters.
-func (o *fhdOracle) retire() {
-	if o.parent != nil {
-		o.parent.Absorb(o.basis)
-	}
-}
 
 // buildCands assembles the first-round atoms of a scope: in lazy mode
 // the sets e ∩ scope of the original edges meeting the scope; in eager
@@ -440,16 +417,6 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 // runFHD runs the engine once over a fixed candidate source (lazy f⁺
 // when aug is nil, the augmented pool otherwise).
 func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, opt FHDOptions, done <-chan struct{}) (*decomp.Decomp, error) {
-	if par := effectiveParallelism(opt.Parallelism, h); par > 1 {
-		// Each worker gets its own BasisCache — a shared one is not
-		// concurrency-safe — and hands its LP counters to opt.Basis when
-		// the run retires.
-		return runParallel(h, func() coverOracle {
-			o := newFHDOracle(h, aug, k, maxSupport, maxSets, nil)
-			o.parent = opt.Basis
-			return o
-		}, done, par, opt.Budget, opt.Stats)
-	}
 	o := newFHDOracle(h, aug, k, maxSupport, maxSets, opt.Basis)
 	e := newEngine(h, o, false, done)
 	e.sink = opt.Stats

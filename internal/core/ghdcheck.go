@@ -19,18 +19,9 @@ type Options struct {
 	// completion (added, so one sink can accumulate across deepening
 	// levels). Leave nil when not tracing.
 	Stats *EngineStats
-	// Parallelism bounds the CPU workers one engine run may use:
-	// speculative top-level guess exploration plus concurrent child
-	// components (parallel.go). 1 (or negative) is the exact serial
-	// search — bit-for-bit, preserving the allocation pins — an
-	// explicit n > 1 is obeyed as given, and the 0 default means
-	// GOMAXPROCS on instances large enough to amortize the machinery.
+	// Deprecated: ignored; every run is the serial search. Kept only so
+	// perfbench/ compiles; removed with the ROADMAP's Stage 1 names.
 	Parallelism int
-	// Budget, when non-nil, is the shared CPU-token pool extra workers
-	// draw from, so concurrent strategies racing over one solve split
-	// the host instead of multiplying (solve threads one per request).
-	// Nil gives the run a private budget of Parallelism-1 tokens.
-	Budget *Budget
 }
 
 const defaultMaxSubedges = 2_000_000
@@ -185,11 +176,6 @@ func (o *ghdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 					break
 				}
 			}
-			// Speculative root partition (parallel runs only): first
-			// atoms belonging to another worker's slice are skipped.
-			if e.specSkip(len(o.lamBuf) == lamMark, i) {
-				continue
-			}
 			a := o.ordBuf[ordMark+i]
 			o.lamBuf = append(o.lamBuf, a)
 			e.compPush(i, a.set) // keyed by ordered-list index
@@ -210,9 +196,6 @@ func (o *ghdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 // dynAware: the λ stack above is mirrored into the engine's incremental
 // component structure.
 func (o *ghdOracle) dynAware() {}
-
-// oracleErr exposes the sideways failure to parallel runs (errOracle).
-func (o *ghdOracle) oracleErr() error { return o.err }
 
 // check tests one guess λ of atoms. Atoms are subsets of the scope, so
 // the bag is their plain union.
@@ -365,11 +348,6 @@ func checkGHD(h *hypergraph.Hypergraph, k int, opt Options, exact bool, done <-c
 	max := opt.MaxSubedges
 	if max == 0 {
 		max = defaultMaxSubedges
-	}
-	if par := effectiveParallelism(opt.Parallelism, h); par > 1 {
-		return runParallel(h, func() coverOracle {
-			return newGHDOracle(h, k, exact, max)
-		}, done, par, opt.Budget, opt.Stats)
 	}
 	o := newGHDOracle(h, k, exact, max)
 	e := newEngine(h, o, false, done)

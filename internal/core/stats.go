@@ -1,15 +1,11 @@
 package core
 
 // stats.go — engine observability. The engine accumulates plain-int
-// counters on itself while it runs (free on the hot path; each engine
-// is single-goroutine even inside a parallel run) and flushes them
-// exactly once, in finish(): into the process-wide telemetry counters
-// below, and into the caller's optional EngineStats sink when one was
-// threaded through the entry point (FHDOptions.Stats, Options.Stats,
-// CheckHDStatsCtx). Worker engines of a parallel run flush into the
-// run's aggregate instead, which parRun.finish publishes once — so a
-// logical Check(·,k) run increments hg_engine_runs_total once no matter
-// how many workers it spawned. Per-request tracing in internal/solve
+// counters on itself while it runs (free on the hot path; an engine is
+// single-goroutine) and flushes them exactly once, in finish(): into
+// the process-wide telemetry counters below, and into the caller's
+// optional EngineStats sink when one was threaded through the entry
+// point (FHDOptions.Stats, Options.Stats, CheckHDStatsCtx). Per-request tracing in internal/solve
 // allocates a sink only when the request is traced, so the untraced
 // solve path stays allocation-identical (pinned in alloc_test.go and
 // internal/solve).
@@ -17,18 +13,12 @@ package core
 import "hypertree/internal/telemetry"
 
 // EngineStats is the counter block of one or more engine runs:
-// subproblem/memo behavior, DynComponents reuse, and parallel-run
-// fan-out. The zero value is ready to use; Add accumulates across runs.
+// subproblem/memo behavior and DynComponents reuse. The zero value is ready to use; Add accumulates across runs.
 type EngineStats struct {
 	Subproblems int64 `json:"subproblems"` // memoized subproblems actually computed
 	MemoHits    int64 `json:"memo_hits"`   // decompose calls answered from the memo
 	DynResets   int64 `json:"dyn_resets"`  // DynComponents borrowed (one per dyn subproblem)
 	DynSeeded   int64 `json:"dyn_seeded"`  // resets whose base partition was parent-seeded
-
-	// Parallel-run counters (zero on serial runs).
-	ParWorkers         int64 `json:"par_workers,omitempty"`          // workers spawned: speculative roots + offloaded child components
-	ParSpecCanceled    int64 `json:"par_spec_canceled,omitempty"`    // speculative root workers canceled by first-acceptance-wins
-	ParShardContention int64 `json:"par_shard_contention,omitempty"` // sharded memo/interner lock acquisitions that had to wait
 }
 
 // Add accumulates o into s.
@@ -37,9 +27,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.MemoHits += o.MemoHits
 	s.DynResets += o.DynResets
 	s.DynSeeded += o.DynSeeded
-	s.ParWorkers += o.ParWorkers
-	s.ParSpecCanceled += o.ParSpecCanceled
-	s.ParShardContention += o.ParShardContention
 }
 
 // Process-wide engine counters (OBSERVABILITY.md), fed by every engine
@@ -55,53 +42,29 @@ var (
 		"DynComponents structures borrowed by engine subproblems")
 	mEngineDynSeeded = telemetry.Default().NewCounter("hg_engine_dyn_seeded_total",
 		"DynComponents resets seeded from the parent (base BFS skipped)")
-	mEngineParWorkers = telemetry.Default().NewCounter("hg_engine_parallel_workers_total",
-		"extra engine workers spawned by parallel runs (speculative roots and offloaded child components)")
-	mEngineParSpecCanceled = telemetry.Default().NewCounter("hg_engine_parallel_spec_canceled_total",
-		"speculative root workers canceled by first-acceptance-wins")
-	mEngineParContention = telemetry.Default().NewCounter("hg_engine_parallel_shard_contention_total",
-		"sharded memo/interner lock acquisitions that had to wait")
 )
 
 // EngineCounters returns the process-wide engine counter snapshot, for
 // aggregate reporting (hgserve /healthz).
 func EngineCounters() EngineStats {
 	return EngineStats{
-		Subproblems:        mEngineSubproblems.Value(),
-		MemoHits:           mEngineMemoHits.Value(),
-		DynResets:          mEngineDynResets.Value(),
-		DynSeeded:          mEngineDynSeeded.Value(),
-		ParWorkers:         mEngineParWorkers.Value(),
-		ParSpecCanceled:    mEngineParSpecCanceled.Value(),
-		ParShardContention: mEngineParContention.Value(),
+		Subproblems: mEngineSubproblems.Value(),
+		MemoHits:    mEngineMemoHits.Value(),
+		DynResets:   mEngineDynResets.Value(),
+		DynSeeded:   mEngineDynSeeded.Value(),
 	}
 }
 
-// flushStats publishes the engine's accumulated counters. Serial
-// engines flush straight to the process-wide counters (and the caller's
-// sink); worker engines of a parallel run add into the run's aggregate,
-// which parRun.finish flushes once for the whole logical run.
-func (e *engine) flushStats() {
-	if e.par != nil {
-		e.par.addStats(e.stats)
-		e.stats = EngineStats{}
-		return
-	}
-	flushRunStats(e.stats, e.sink)
-}
-
-// flushRunStats publishes one logical run's counters: the global
+// flushStats publishes the engine's accumulated counters: the global
 // telemetry counters always, the caller's sink when present.
-func flushRunStats(s EngineStats, sink *EngineStats) {
+func (e *engine) flushStats() {
+	s := e.stats
 	mEngineRuns.Inc()
 	mEngineSubproblems.Add(s.Subproblems)
 	mEngineMemoHits.Add(s.MemoHits)
 	mEngineDynResets.Add(s.DynResets)
 	mEngineDynSeeded.Add(s.DynSeeded)
-	mEngineParWorkers.Add(s.ParWorkers)
-	mEngineParSpecCanceled.Add(s.ParSpecCanceled)
-	mEngineParContention.Add(s.ParShardContention)
-	if sink != nil {
-		sink.Add(s)
+	if e.sink != nil {
+		e.sink.Add(s)
 	}
 }

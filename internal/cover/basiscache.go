@@ -23,7 +23,7 @@ type BasisCache struct {
 	free  []*Incremental
 	bytes int64 // Σ approxBytes over free
 	max   int64
-	lp    LPStats // counters of every solver Put back, plus absorbed caches
+	lp    LPStats // counters of every solver Put back
 	stats BasisCacheStats
 }
 
@@ -75,13 +75,7 @@ func (bc *BasisCache) Put(ic *Incremental) {
 // Stats returns the traffic counters.
 func (bc *BasisCache) Stats() BasisCacheStats { return bc.stats }
 
-// Absorb adds o's LP counters to bc's, so they also account for the
-// solves o's borrowers ran. A parallel FHD run folds its workers'
-// private caches into the caller's this way. o itself is left
-// unchanged.
-func (bc *BasisCache) Absorb(o *BasisCache) { bc.lp.Add(o.lp) }
-
-// LPStats returns the LP counters of every solver Put back so far and
-// of every absorbed cache: once all borrowed solvers are back, the
+// LPStats returns the LP counters of every solver Put back so far:
+// once all borrowed solvers are back, the
 // solve-path mix of every Solve the cache's solvers ran.
 func (bc *BasisCache) LPStats() LPStats { return bc.lp }

@@ -138,7 +138,7 @@ func TestSolveIntervalUnderPressure(t *testing.T) {
 // gated off, bip, detk, minfill and approx race on every golden corpus
 // instance; a detk witness may close the race only against a lower
 // bound proven by another lane, so every result must be exact and equal
-// to the golden ghw, serially and with intra-solve workers.
+// to the golden ghw.
 func TestGHWDetkLaneDifferential(t *testing.T) {
 	golden := contractGolden(t)
 	ins, err := corpus.LoadDir(contractCorpusDir)
@@ -156,18 +156,16 @@ func TestGHWDetkLaneDifferential(t *testing.T) {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
 		want := lp.RI(int64(exact))
-		for _, par := range []int{1, 2} {
-			r, err := solve.Solve(ctx, h, solve.Options{
-				Measure: solve.GHW, ExactVertexLimit: 1, SATOrdLimit: -1,
-				Validate: true, Parallelism: par, Timeout: 30 * time.Second,
-			})
-			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", in.Name, par, err)
-			}
-			if !r.Exact || r.Upper.Cmp(want) != 0 || r.Lower.Cmp(want) != 0 {
-				t.Fatalf("%s parallelism %d: [%v, %v] exact=%v by %s, want exact ghw %d",
-					in.Name, par, r.Lower, r.Upper, r.Exact, r.Strategy, exact)
-			}
+		r, err := solve.Solve(ctx, h, solve.Options{
+			Measure: solve.GHW, ExactVertexLimit: 1, SATOrdLimit: -1,
+			Validate: true, Timeout: 30 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		if !r.Exact || r.Upper.Cmp(want) != 0 || r.Lower.Cmp(want) != 0 {
+			t.Fatalf("%s: [%v, %v] exact=%v by %s, want exact ghw %d",
+				in.Name, r.Lower, r.Upper, r.Exact, r.Strategy, exact)
 		}
 	}
 }

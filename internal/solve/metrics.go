@@ -125,13 +125,10 @@ func (s *Solver) record(tr *telemetry.Trace, res *Result, err error) {
 // engineCounters maps an engine-stats sink onto trace counters.
 func engineCounters(es *core.EngineStats) telemetry.Counters {
 	return telemetry.Counters{
-		EngineSubproblems:     es.Subproblems,
-		EngineMemoHits:        es.MemoHits,
-		DynResets:             es.DynResets,
-		DynSeeded:             es.DynSeeded,
-		EngineParWorkers:      es.ParWorkers,
-		EngineParSpecCanceled: es.ParSpecCanceled,
-		EngineParContention:   es.ParShardContention,
+		EngineSubproblems: es.Subproblems,
+		EngineMemoHits:    es.MemoHits,
+		DynResets:         es.DynResets,
+		DynSeeded:         es.DynSeeded,
 	}
 }
 

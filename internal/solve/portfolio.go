@@ -168,11 +168,8 @@ func ratCeilInt(r *big.Rat) int {
 }
 
 // solveBlock runs the portfolio for block blk (the index is only used
-// to label trace events). budget is the solve-wide CPU-token pool the
-// deepening strategies hand to their engines so intra-solve workers
-// never oversubscribe the machine across racing strategies and blocks;
-// nil means no extra workers.
-func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk int, budget *core.Budget) blockResult {
+// to label trace events).
+func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk int) blockResult {
 	tr := telemetry.FromContext(ctx)
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -216,7 +213,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	satGate := nv > 1 && nv <= satOrdLimit(opt)
 	switch opt.Measure {
 	case HW:
-		strategies = append(strategies, strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk, budget) }})
+		strategies = append(strategies, strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk) }})
 		if satGate {
 			strategies = append(strategies, strat{"sat-ord-lb", func() { deepenSATOrdHWLower(bctx, bh, r, opt, maxK, tr, blk) }})
 		}
@@ -229,7 +226,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 			}})
 		}
 		strategies = append(strategies,
-			strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk, budget) }},
+			strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk) }},
 			strat{"minfill", func() {
 				w, d, err := core.MinFillGHDCtx(bctx, bh)
 				switch {
@@ -243,7 +240,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 				}
 			}},
 			strat{"approx-logn", func() { runApproxLogN(bctx, bh, r, opt, tr, blk) }},
-			strat{"bip", func() { deepenGHDViaBIP(bctx, bh, r, opt, maxK, tr, blk, budget) }},
+			strat{"bip", func() { deepenGHDViaBIP(bctx, bh, r, opt, maxK, tr, blk) }},
 		)
 		if satGate {
 			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdGHW(bctx, bh, r, opt, maxK, tr, blk) }})
@@ -323,14 +320,14 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 // are left to refute the levels below it. Either way no level at or
 // above the incumbent upper bound is attempted, and the next level
 // skips past any lower bound another lane has proven meanwhile.
-func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int, budget *core.Budget) {
+func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
 	var es *core.EngineStats
 	if tr != nil {
 		es = &core.EngineStats{}
 		defer func() { tr.AddCounters(engineCounters(es)) }()
 	}
 	exact := opt.Measure == HW
-	copt := core.Options{Stats: es, Parallelism: opt.Parallelism, Budget: budget}
+	copt := core.Options{Stats: es}
 	for k := r.snapshotLower(); k <= maxK && !r.upperBelow(k); k = max(k+1, r.snapshotLower()) {
 		mDeepenSteps.With("detk").Inc()
 		tr.Deepen(blk, "detk", k)
@@ -354,13 +351,13 @@ func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Optio
 // deepenGHDViaBIP runs Check(GHD,k) iterative deepening through the
 // subedge-augmentation reduction. If the subedge closure exceeds its cap
 // the strategy retires and leaves the field to the others.
-func deepenGHDViaBIP(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int, budget *core.Budget) {
+func deepenGHDViaBIP(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
 	var es *core.EngineStats
 	if tr != nil {
 		es = &core.EngineStats{}
 		defer func() { tr.AddCounters(engineCounters(es)) }()
 	}
-	copt := core.Options{Stats: es, Parallelism: opt.Parallelism, Budget: budget}
+	copt := core.Options{Stats: es}
 	for k := r.snapshotLower(); k <= maxK; k++ {
 		mDeepenSteps.With("bip").Inc()
 		tr.Deepen(blk, "bip", k)

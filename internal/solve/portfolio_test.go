@@ -24,7 +24,7 @@ func TestDeepenHDGHWMode(t *testing.T) {
 	defer cancel()
 	r := &race{cancel: cancel}
 	r.res.lower = lp.RI(2)
-	deepenHD(ctx, bh, r, opt, bh.NumEdges(), tr, 0, nil)
+	deepenHD(ctx, bh, r, opt, bh.NumEdges(), tr, 0)
 
 	if r.res.upper == nil || r.res.upper.Cmp(lp.RI(3)) != 0 || r.res.strategy != "detk" {
 		t.Fatalf("upper = %v by %q, want 3 by detk", r.res.upper, r.res.strategy)
@@ -51,7 +51,7 @@ func TestDeepenHDGHWMode(t *testing.T) {
 	ctx2, tr2 := telemetry.WithTrace(context.Background())
 	r2 := &race{cancel: func() {}}
 	r2.res.lower, r2.res.upper = lp.RI(2), lp.RI(2)
-	deepenHD(ctx2, bh, r2, opt, bh.NumEdges(), tr2, 0, nil)
+	deepenHD(ctx2, bh, r2, opt, bh.NumEdges(), tr2, 0)
 	if n := kinds(tr2.Summary())["deepen"]; n != 0 {
 		t.Fatalf("%d deepen events with upper = lower, want 0", n)
 	}

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"hypertree/internal/core"
 	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
@@ -96,16 +95,6 @@ type Options struct {
 	// NoPreprocess disables the simplification pipeline and solves the
 	// input as a single piece.
 	NoPreprocess bool
-	// Parallelism bounds the intra-solve engine parallelism per
-	// Check(·,k) call (speculative guess exploration and child-component
-	// fan-out inside internal/core). 1 or negative forces the exact
-	// serial search; 0 defaults to GOMAXPROCS gated by instance size.
-	// Whatever the value, all engine workers of one Solve draw extra CPU
-	// tokens from a single budget sized to GOMAXPROCS, so racing
-	// portfolio strategies and parallel blocks cannot oversubscribe the
-	// machine: each strategy's engine keeps its one inherent worker and
-	// adds more only while free tokens remain.
-	Parallelism int
 	// Validate re-validates the stitched witness against the original
 	// hypergraph before returning (the property tests always do; the
 	// server does on /decompose).
@@ -453,13 +442,6 @@ func (s *Solver) solve(ctx context.Context, h *hypergraph.Hypergraph, opt Option
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// One CPU-token budget per solve, shared by every engine worker any
-	// strategy of any block spawns. It is sized to the machine (not to
-	// opt.Parallelism, which caps each individual Check call): each
-	// strategy goroutine already owns one inherent worker, so only the
-	// extra ones draw tokens, and GOMAXPROCS-1 extras saturate the
-	// machine without oversubscribing it.
-	budget := core.NewBudget(runtime.GOMAXPROCS(0) - 1)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := range pieces {
@@ -468,7 +450,7 @@ func (s *Solver) solve(ctx context.Context, h *hypergraph.Hypergraph, opt Option
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			pc.out = solveBlock(ctx, pc.bh, opt, blk, budget)
+			pc.out = solveBlock(ctx, pc.bh, opt, blk)
 		}(&pieces[i], i)
 	}
 	wg.Wait()
