@@ -176,7 +176,9 @@ func TestGHWDetkLaneDifferential(t *testing.T) {
 // certificate, and the cold rational fallback never runs. The traffic
 // is a traced fhw Solve of every golden corpus instance (with the exact
 // DP on, and gated off so the LP-pricing lanes do the work) plus the
-// CheckFHD inputs of hgbench's E08. If this fails, the fallback is on a
+// CheckFHD inputs of hgbench's E08. The corpus leg must solve cover LPs
+// on its own: its bipartite instances run the integral ghw race, so the
+// non-bipartite ones carry it. If this fails, the fallback is on a
 // measured path and its cost needs measuring.
 func TestFloatCertificateCoversInRepoLPs(t *testing.T) {
 	golden := contractGolden(t)
@@ -207,6 +209,10 @@ func TestFloatCertificateCoversInRepoLPs(t *testing.T) {
 			c.LPCold += s.LPCold
 		}
 	}
+	if c.LPSolves == 0 {
+		t.Fatal("the corpus leg solved no cover LPs")
+	}
+	corpusSolves := c.LPSolves
 	// hgbench E08 at its default seed: CheckFHD at and just below the
 	// exact fhw of random bounded-degree hypergraphs.
 	rng := rand.New(rand.NewSource(1))
@@ -231,5 +237,6 @@ func TestFloatCertificateCoversInRepoLPs(t *testing.T) {
 		t.Fatalf("cover LPs: solves=%d float=%d cold=%d, want every solve float-first",
 			c.LPSolves, c.LPFloat, c.LPCold)
 	}
-	t.Logf("cover LPs: %d solves, all float-first", c.LPSolves)
+	t.Logf("cover LPs: %d solves (corpus %d, E08 %d), all float-first",
+		c.LPSolves, corpusSolves, c.LPSolves-corpusSolves)
 }

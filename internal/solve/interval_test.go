@@ -121,19 +121,25 @@ func TestIntervalUnderTinyDeadline(t *testing.T) {
 }
 
 // TestIntervalOnDeadContext: even a context that is already cancelled
-// before Solve starts yields the trivial interval, not a nil Upper.
+// before Solve starts yields the trivial interval, not a nil Upper —
+// in the fhw race (a chorded grid, not bipartite) and in the ghw race a
+// bipartite grid is routed to.
 func TestIntervalOnDeadContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := Solve(ctx, hypergraph.Grid(5, 5), Options{Measure: FHW})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Upper == nil || r.Witness == nil || !r.Partial {
-		t.Fatalf("dead-context solve lost the interval: %+v", r)
-	}
-	if r.Provenance == "" {
-		t.Fatal("dead-context solve lost provenance")
+	chorded := hypergraph.Grid(5, 5)
+	chorded.AddEdge("chord", "v0_0", "v1_1")
+	for _, h := range []*hypergraph.Hypergraph{chorded, hypergraph.Grid(5, 5)} {
+		r, err := Solve(ctx, h, Options{Measure: FHW})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Upper == nil || r.Witness == nil || !r.Partial {
+			t.Fatalf("dead-context solve lost the interval: %+v", r)
+		}
+		if r.Provenance == "" {
+			t.Fatal("dead-context solve lost provenance")
+		}
 	}
 }
 
@@ -185,10 +191,12 @@ func TestStrategyFailureClassification(t *testing.T) {
 }
 
 // TestApproxStrategyRuns: on a block past the exact-DP gate the ladder
-// strategies appear in the trace and the approx counters move.
+// strategies appear in the fhw race's trace and the approx counters
+// move. The input is a rank-3 hypercycle, so the block stays in the fhw
+// race rather than being routed to the ghw race as a bipartite grid is.
 func TestApproxStrategyRuns(t *testing.T) {
 	ctx, tr := telemetry.WithTrace(context.Background())
-	h := hypergraph.Grid(4, 5) // 20 edges, 30 vertices
+	h := hypergraph.HyperCycle(12, 3, 1) // 12 edges, 24 vertices
 	r, err := Solve(ctx, h, Options{Measure: FHW, ExactVertexLimit: 1, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,11 @@ import (
 //	      refute the levels under its witness; Check(GHD,k)-via-BIP
 //	      iterative deepening; sat-ord incremental ordering-encoding
 //	      deepening (internal/ordenc) on blocks within its size gate.
-//	fhw:  fractional clique lower bound; exact elimination DP for small
+//	fhw:  a bipartite block of rank ≤ 2 (a grid, an even cycle, a CQ
+//	      with binary atoms) runs the ghw race above: its incidence
+//	      matrix is totally unimodular, so every bag's cover LP has an
+//	      integral optimum and fhw = ghw. Every other block races the
+//	      fractional clique lower bound; exact elimination DP for small
 //	      blocks; min-fill FHD (plus local improvement) and the log n
 //	      approximation as fast upper bounds; sat-ord LP-hybrid (SAT
 //	      fixes orderings, the cover LP prices bags) which refines
@@ -171,6 +175,20 @@ func ratCeilInt(r *big.Rat) int {
 // to label trace events).
 func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk int) blockResult {
 	tr := telemetry.FromContext(ctx)
+	// A block of rank ≤ 2 whose primal graph is bipartite has a totally
+	// unimodular incidence matrix, and so does its restriction to any
+	// bag's rows. Every bag's cover LP then has an integral optimum,
+	// ρ*(B) = ρ(B) (Berge; Fulkerson–Hoffman–Oppenheim 1974), so fhw =
+	// ghw on the block and it runs the ghw race: its GHD witnesses
+	// validate as FHDs at the same width, and the lower bounds its lanes
+	// prove are fhw lower bounds. Odd cycles, rank-3 blocks and every
+	// other non-bipartite block keep the fhw race.
+	if opt.Measure == FHW {
+		if colour, ok := bh.TwoColouring(); ok {
+			traceBipartite(tr, blk, colour)
+			opt.Measure = GHW
+		}
+	}
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &race{cancel: cancel}
@@ -310,6 +328,22 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 		r.res.partial = true
 	}
 	return r.res
+}
+
+// traceBipartite records the certificate of a block routed to the ghw
+// race: the block-local indices of the vertices coloured true, and both
+// class sizes. The event is built only when the request is traced.
+func traceBipartite(tr *telemetry.Trace, blk int, colour []bool) {
+	if tr == nil {
+		return
+	}
+	var class []int
+	for v, c := range colour {
+		if c {
+			class = append(class, v)
+		}
+	}
+	tr.Eventf("bipartite", "block=%d sizes=%d/%d class=%v", blk, len(class), len(colour)-len(class), class)
 }
 
 // deepenHD runs Check(HD,k) iterative deepening. What a level proves

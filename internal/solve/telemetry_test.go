@@ -59,18 +59,24 @@ func TestSolveTracedHW(t *testing.T) {
 
 // TestSolveTracedFHW threads a trace through fhw solves: the race
 // starts no fhd-check strategy (the engine's Check(FHD,k) is not raced),
-// still closes exactly — on grid 3×4 with every strategy in play, and on
-// the triangle with the exact DP gated off so the clique bound must meet
-// a heuristic witness — and returns a witness that validates at the
-// reported width.
+// still closes exactly, and returns a witness that validates at the
+// reported width. The LP-priced fhw race runs on a 3×4 grid with one
+// diagonal chord (an odd cycle, so the block is not routed) with every
+// strategy in play, and on the triangle with the exact DP gated off so
+// the clique bound must meet a heuristic witness. The plain 3×4 grid is
+// bipartite: it is routed to the ghw race, whose detk lane runs.
 func TestSolveTracedFHW(t *testing.T) {
+	chorded := hypergraph.Grid(3, 4)
+	chorded.AddEdge("chord", "v0_0", "v1_1")
 	for _, tc := range []struct {
-		name string
-		h    *hypergraph.Hypergraph
-		opt  Options
+		name   string
+		h      *hypergraph.Hypergraph
+		opt    Options
+		routed bool
 	}{
-		{"grid3x4", hypergraph.Grid(3, 4), Options{Measure: FHW}},
-		{"K3-no-dp", hypergraph.Clique(3), Options{Measure: FHW, ExactVertexLimit: 1}},
+		{"grid3x4+chord", chorded, Options{Measure: FHW}, false},
+		{"K3-no-dp", hypergraph.Clique(3), Options{Measure: FHW, ExactVertexLimit: 1}, false},
+		{"grid3x4", hypergraph.Grid(3, 4), Options{Measure: FHW}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, tr := telemetry.WithTrace(context.Background())
@@ -87,8 +93,9 @@ func TestSolveTracedFHW(t *testing.T) {
 			if err := r.Witness.ValidateWidth(decomp.FHD, r.Upper); err != nil {
 				t.Fatalf("witness invalid at %v: %v", r.Upper, err)
 			}
+			sum := tr.Summary()
 			started := map[string]bool{}
-			for _, e := range tr.Summary().Events {
+			for _, e := range sum.Events {
 				if e.Kind == "strategy_start" {
 					started[e.Strategy] = true
 				}
@@ -97,7 +104,14 @@ func TestSolveTracedFHW(t *testing.T) {
 				t.Fatalf("fhd-check still raced: %v", started)
 			}
 			if !started["minfill"] {
-				t.Fatalf("fhw race lost its min-fill strategy: %v", started)
+				t.Fatalf("race lost its min-fill strategy: %v", started)
+			}
+			if routed := kinds(sum)["bipartite"] == 1; routed != tc.routed {
+				t.Fatalf("bipartite events %d, want routed=%v", kinds(sum)["bipartite"], tc.routed)
+			}
+			// detk and bip are ghw lanes: only a routed block runs them.
+			if started["detk"] != tc.routed || started["bip"] != tc.routed {
+				t.Fatalf("routed=%v but started %v", tc.routed, started)
 			}
 		})
 	}

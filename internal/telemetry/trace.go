@@ -48,6 +48,8 @@ func FromContext(ctx context.Context) *Trace {
 //	strategy_start  Strategy, Block
 //	strategy_end    Strategy, Block, DurMS; Detail = outcome
 //	deepen          Strategy, Block, K — one iterative-deepening level
+//	bipartite       Detail = "block=… sizes=…/… class=[…]" — an fhw
+//	                block routed to the ghw race, with its 2-colouring
 type Event struct {
 	AtMS     float64 `json:"at_ms"`
 	Kind     string  `json:"kind"`
