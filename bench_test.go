@@ -413,13 +413,42 @@ func BenchmarkE07FPTInIntersectionWidth(b *testing.B) {
 // an iterative-deepening CheckFHD loop (reject at k=1, accept at k=2,
 // as `hgwidth -check` levels do); the decision legs pin the
 // steady-state cost of the HD/GHD guess loops that now ride
-// DynComponents instead of per-guess ComponentsOf.
+// DynComponents instead of per-guess ComponentsOf. The grid legs at
+// workload-mix scale (5×8, 6×6, 5×6) time the connector-pruned λ
+// enumeration on the levels the hw and ghw races run there: the hw
+// acceptance at 3, the k=3 rejection that proves hw(grid6x6) = 4, and a
+// ghw refutation of level 2.
 func BenchmarkEngineIncrementality(b *testing.B) {
 	b.Run("checkHD/grid2x4", func(b *testing.B) {
 		g := hypergraph.Grid(2, 4)
 		for i := 0; i < b.N; i++ {
 			if core.CheckHD(g, 3) == nil {
 				b.Fatal("grid 2x4 has hw ≤ 3")
+			}
+		}
+	})
+	b.Run("checkHD/grid5x8-k3", func(b *testing.B) {
+		g := hypergraph.Grid(5, 8)
+		for i := 0; i < b.N; i++ {
+			if core.CheckHD(g, 3) == nil {
+				b.Fatal("grid 5x8 has hw ≤ 3")
+			}
+		}
+	})
+	b.Run("checkHD/grid6x6-k3-reject", func(b *testing.B) {
+		g := hypergraph.Grid(6, 6)
+		for i := 0; i < b.N; i++ {
+			if core.CheckHD(g, 3) != nil {
+				b.Fatal("grid 6x6 has hw 4")
+			}
+		}
+	})
+	b.Run("checkGHD/grid5x6-k2-reject", func(b *testing.B) {
+		g := hypergraph.Grid(5, 6)
+		for i := 0; i < b.N; i++ {
+			d, err := core.CheckGHDViaBIP(g, 2, core.Options{})
+			if err != nil || d != nil {
+				b.Fatal("grid 5x6 has ghw 3")
 			}
 		}
 	})

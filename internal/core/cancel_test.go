@@ -66,8 +66,9 @@ func TestCancellationUnwinds(t *testing.T) {
 // TestCheckHDDeadlineMidSearch: a deadline that fires inside a running
 // search unwinds into context.DeadlineExceeded, never with a witness.
 func TestCheckHDDeadlineMidSearch(t *testing.T) {
-	// The full Check(HD,2) rejection sweep on the 6×6 grid takes far
-	// longer than 1ms, so the deadline always fires mid-search.
+	// The full Check(HD,2) rejection sweep on the 6×6 grid takes about
+	// 12–21ms under the connector bound, still well past the 1ms
+	// deadline, so the deadline fires mid-search.
 	h := hypergraph.Grid(6, 6)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
@@ -75,6 +76,23 @@ func TestCheckHDDeadlineMidSearch(t *testing.T) {
 	if err == nil && d == nil {
 		t.Skip("search finished inside the deadline; nothing to assert")
 	}
+	if err != context.DeadlineExceeded {
+		t.Fatalf("want DeadlineExceeded, got (%v, %v)", d != nil, err)
+	}
+	if d != nil {
+		t.Fatal("canceled run returned a witness")
+	}
+}
+
+// TestCheckGHDDeadlineMidSearch: the GHD enumeration polls once per
+// enumeration node, so a deadline still interrupts it although pruned
+// guesses never reach check. Check(GHD,3) on the 6×6 grid generates
+// subedges for far longer than 5ms.
+func TestCheckGHDDeadlineMidSearch(t *testing.T) {
+	h := hypergraph.Grid(6, 6)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	d, err := CheckGHDViaBIPCtx(ctx, h, 3, Options{})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("want DeadlineExceeded, got (%v, %v)", d != nil, err)
 	}

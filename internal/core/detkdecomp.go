@@ -16,6 +16,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
@@ -32,6 +34,9 @@ import (
 //
 // The special condition holds by construction since bags are exactly
 // B(λ) ∩ (W ∪ C) and subtrees stay inside C ∪ bag.
+//
+// Test (a) fails for almost every λ, so connBound applies it early: it
+// drops each partial λ that can no longer cover W, keeping the order.
 type hdOracle struct {
 	h *hypergraph.Hypergraph
 	k int
@@ -43,8 +48,9 @@ type hdOracle struct {
 
 	// Mark-rolled per-subproblem stacks shared across the recursion
 	// (same discipline as ghdOracle.ordBuf/lamBuf).
-	candBuf []int // candidate edges of the enumerating subproblems
-	lamBuf  []int // the shared λ stack
+	candBuf []int    // candidate edges of the enumerating subproblems
+	wmBuf   []uint64 // connector masks, parallel to candBuf
+	lamBuf  []int    // the shared λ stack
 }
 
 func newHDOracle(h *hypergraph.Hypergraph, k int) *hdOracle {
@@ -79,22 +85,34 @@ func (o *hdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, tr
 		return true
 	})
 
-	var rec func(start int) bool
-	rec = func(start int) bool {
-		if len(o.lamBuf) > lamMark && o.check(e, c, w, o.lamBuf[lamMark:], try) {
+	for _, ed := range o.candBuf[candMark:] {
+		o.wmBuf = append(o.wmBuf, connMask(w, o.h.Edge(ed)))
+	}
+	cb := newConnBound(w, o.wmBuf[candMark:])
+
+	// rec extends λ from candidate start on; u is the part of W it leaves
+	// uncovered, slots the number of atoms it may still take.
+	var rec func(start int, u uint64, slots int) bool
+	rec = func(start int, u uint64, slots int) bool {
+		e.poll()
+		if u == 0 && len(o.lamBuf) > lamMark && o.check(c, w, o.lamBuf[lamMark:], try) {
 			return true
 		}
-		if len(o.lamBuf)-lamMark == o.k {
+		if slots == 0 {
 			return false
 		}
 		for i := start; candMark+i < len(o.candBuf); i++ {
+			nu := u &^ o.wmBuf[candMark+i]
+			if !cb.viable(nu, slots-1) {
+				continue
+			}
 			ed := o.candBuf[candMark+i]
 			o.lamBuf = append(o.lamBuf, ed)
 			// Mirror the push into the engine's component structure: the
 			// components of c under B(λ) ∩ scope equal those under B(λ),
 			// since c ⊆ scope. Keyed by candidate index.
 			e.compPush(i, o.h.Edge(ed))
-			if rec(i + 1) {
+			if rec(i+1, nu, slots-1) {
 				return true
 			}
 			e.compPop()
@@ -102,20 +120,65 @@ func (o *hdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, tr
 		}
 		return false
 	}
-	res := rec(0)
+	res := cb.viable(cb.full, o.k) && rec(0, cb.full, o.k)
 	o.candBuf = o.candBuf[:candMark]
+	o.wmBuf = o.wmBuf[:candMark]
 	o.lamBuf = o.lamBuf[:lamMark]
 	return res
+}
+
+// connBound is the connector-pruning bound shared by the HD and GHD λ
+// enumerations. A guess passes W ⊆ bag only if its atoms cover all of
+// W, and no atom covers more than maxW vertices of W (subedge atoms are
+// subsets of their originators). So a partial λ with s free slots and
+// uncovered part u of W can still succeed only if |u| ≤ s·maxW. A
+// connector of more than 64 vertices gets full = 0: no pruning.
+type connBound struct {
+	full uint64 // every connector position; 0 when the bound is off
+	maxW int    // most connector positions one candidate covers
+}
+
+// newConnBound builds the bound of connector w from the masks of the
+// original candidates.
+func newConnBound(w hypergraph.VertexSet, masks []uint64) connBound {
+	var cb connBound
+	if n := w.Count(); n <= 64 {
+		cb.full = 1<<n - 1 // n = 64 wraps to all ones
+	}
+	for _, m := range masks {
+		cb.maxW = max(cb.maxW, bits.OnesCount64(m))
+	}
+	return cb
+}
+
+// viable reports whether slots more candidates can still cover the
+// uncovered connector positions u.
+func (cb connBound) viable(u uint64, slots int) bool {
+	return bits.OnesCount64(u) <= slots*cb.maxW
+}
+
+// connMask returns the connector positions set covers: bit j stands for
+// the j-th vertex of w, up to the 64th.
+func connMask(w, set hypergraph.VertexSet) uint64 {
+	var m uint64
+	j := 0
+	w.ForEach(func(v int) bool {
+		if set.Has(v) {
+			m |= 1 << j
+		}
+		j++
+		return j < 64
+	})
+	return m
 }
 
 // dynAware: the λ stack above is mirrored into the engine's incremental
 // component structure.
 func (o *hdOracle) dynAware() {}
 
-// check tests one guess λ. The rejection path — the overwhelming
-// majority of calls — runs entirely on scratch buffers.
-func (o *hdOracle) check(e *engine, c, w hypergraph.VertexSet, lambda []int, try func(engineGuess) bool) bool {
-	e.poll()
+// check tests one guess λ on scratch buffers. Its W ⊆ bag test decides
+// only for connectors too large for connBound.
+func (o *hdOracle) check(c, w hypergraph.VertexSet, lambda []int, try func(engineGuess) bool) bool {
 	o.b = o.b.Reset()
 	for _, ed := range lambda {
 		o.b = o.b.UnionInPlace(o.h.Edge(ed))

@@ -26,6 +26,10 @@ package core
 // Check(·,k) run settles at a small constant number of allocations
 // (pinned in alloc_test.go). The FHD oracle's cover-LP solvers recycle
 // through cover.BasisCache (see FHDOptions.Basis).
+//
+// The HD and GHD oracles drop λ guesses that cannot cover the connector
+// (connBound) and keep the rest in order, so subproblems and memo hits
+// are unchanged; they poll once per enumeration node.
 
 import (
 	"sync"

@@ -56,6 +56,9 @@ const defaultMaxSubedges = 2_000_000
 // the full base sets. Atoms are interned in a pool shared across
 // scopes, so equal sets are stored once and (component, connector) memo
 // keys stay stable.
+//
+// The λ enumeration prunes with connBound: a subproblem whose connector
+// no k atoms cover is rejected before its subedges are generated.
 type ghdOracle struct {
 	h       *hypergraph.Hypergraph
 	k       int
@@ -77,6 +80,7 @@ type ghdOracle struct {
 	// back before returning, and appends never touch live segments
 	// below the frame's mark — and truncates on exit.
 	ordBuf []ghdAtom // candidate order of the enumerating subproblems
+	wmBuf  []uint64  // connector masks, parallel to ordBuf
 	lamBuf []ghdAtom // the shared λ stack
 }
 
@@ -136,11 +140,13 @@ func (o *ghdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 		for _, a := range atoms {
 			if a.set.Intersects(c) {
 				o.ordBuf = append(o.ordBuf, a)
+				o.wmBuf = append(o.wmBuf, connMask(w, a.set))
 			}
 		}
 		for _, a := range atoms {
 			if !a.set.Intersects(c) {
 				o.ordBuf = append(o.ordBuf, a)
+				o.wmBuf = append(o.wmBuf, connMask(w, a.set))
 			}
 		}
 	}
@@ -149,16 +155,18 @@ func (o *ghdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 	if extended {
 		appendOrdered(cd.subs)
 	}
+	cb := newConnBound(w, o.wmBuf[ordMark:])
 
-	var rec func(start int) bool
-	rec = func(start int) bool {
+	var rec func(start int, u uint64, slots int) bool
+	rec = func(start int, u uint64, slots int) bool {
+		e.poll()
 		if o.err != nil {
 			return false
 		}
-		if len(o.lamBuf) > lamMark && o.check(e, c, w, o.lamBuf[lamMark:], try) {
+		if u == 0 && len(o.lamBuf) > lamMark && o.check(c, w, o.lamBuf[lamMark:], try) {
 			return true
 		}
-		if len(o.lamBuf)-lamMark == o.k {
+		if slots == 0 {
 			return false
 		}
 		for i := start; ; i++ {
@@ -176,10 +184,14 @@ func (o *ghdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 					break
 				}
 			}
+			nu := u &^ o.wmBuf[ordMark+i]
+			if !cb.viable(nu, slots-1) {
+				continue
+			}
 			a := o.ordBuf[ordMark+i]
 			o.lamBuf = append(o.lamBuf, a)
 			e.compPush(i, a.set) // keyed by ordered-list index
-			if rec(i + 1) {
+			if rec(i+1, nu, slots-1) {
 				return true
 			}
 			e.compPop()
@@ -187,8 +199,9 @@ func (o *ghdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 		}
 		return false
 	}
-	res := rec(0)
+	res := cb.viable(cb.full, o.k) && rec(0, cb.full, o.k)
 	o.ordBuf = o.ordBuf[:ordMark]
+	o.wmBuf = o.wmBuf[:ordMark]
 	o.lamBuf = o.lamBuf[:lamMark]
 	return res
 }
@@ -198,9 +211,8 @@ func (o *ghdOracle) guesses(e *engine, c hypergraph.VertexSet, st engineState, t
 func (o *ghdOracle) dynAware() {}
 
 // check tests one guess λ of atoms. Atoms are subsets of the scope, so
-// the bag is their plain union.
-func (o *ghdOracle) check(e *engine, c, w hypergraph.VertexSet, lambda []ghdAtom, try func(engineGuess) bool) bool {
-	e.poll()
+// the bag is their plain union; W ⊆ bag is tested as in hdOracle.check.
+func (o *ghdOracle) check(c, w hypergraph.VertexSet, lambda []ghdAtom, try func(engineGuess) bool) bool {
 	o.b = o.b.Reset()
 	for _, a := range lambda {
 		o.b = o.b.UnionInPlace(a.set)

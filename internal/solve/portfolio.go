@@ -384,7 +384,8 @@ func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Optio
 
 // deepenGHDViaBIP runs Check(GHD,k) iterative deepening through the
 // subedge-augmentation reduction. If the subedge closure exceeds its cap
-// the strategy retires and leaves the field to the others.
+// the strategy retires and leaves the field to the others. As in
+// deepenHD, the next level skips past lower bounds other lanes proved.
 func deepenGHDViaBIP(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
 	var es *core.EngineStats
 	if tr != nil {
@@ -392,7 +393,7 @@ func deepenGHDViaBIP(ctx context.Context, bh *hypergraph.Hypergraph, r *race, op
 		defer func() { tr.AddCounters(engineCounters(es)) }()
 	}
 	copt := core.Options{Stats: es}
-	for k := r.snapshotLower(); k <= maxK; k++ {
+	for k := r.snapshotLower(); k <= maxK; k = max(k+1, r.snapshotLower()) {
 		mDeepenSteps.With("bip").Inc()
 		tr.Deepen(blk, "bip", k)
 		d, err := core.CheckGHDViaBIPCtx(ctx, bh, k, copt)

@@ -59,3 +59,53 @@ func TestDeepenHDGHWMode(t *testing.T) {
 		t.Fatalf("lane published %q into a met race", r2.res.strategy)
 	}
 }
+
+// levelHookCtx runs onLevel whenever a Check(·,k) call fetches the
+// context's done channel, which each deepening level does once, at its
+// start.
+type levelHookCtx struct {
+	context.Context
+	onLevel func()
+}
+
+func (c levelHookCtx) Done() <-chan struct{} {
+	c.onLevel()
+	return c.Context.Done()
+}
+
+// TestDeepenGHDViaBIPSkipsRefutedLevels drives the bip lane directly
+// while another lane proves ghw ≥ 3 during the lane's first level. The
+// lane must not re-run level 2, which that bound already refutes: no
+// deepen event may sit below the lower bound the race held when its
+// level started.
+func TestDeepenGHDViaBIPSkipsRefutedLevels(t *testing.T) {
+	bh := hypergraph.Grid(4, 4) // ghw = 3
+	ctx, tr := telemetry.WithTrace(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	r := &race{cancel: cancel}
+	var held []int // the race's lower bound at the start of each level
+	hook := levelHookCtx{Context: ctx, onLevel: func() {
+		held = append(held, r.snapshotLower())
+		if len(held) == 1 {
+			r.raiseLower(lp.RI(3), "other")
+		}
+	}}
+	deepenGHDViaBIP(hook, bh, r, Options{Measure: GHW}, bh.NumEdges(), tr, 0)
+
+	got := tr.Summary().KTrajectory("bip")
+	if len(got) != len(held) {
+		t.Fatalf("bip trajectory %v but %d levels started", got, len(held))
+	}
+	for i, k := range got {
+		if k < held[i] {
+			t.Fatalf("bip deepened to %d while the race held ghw ≥ %d (trajectory %v)", k, held[i], got)
+		}
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("bip trajectory %v, want [1 3]", got)
+	}
+	if !r.res.exact || r.res.strategy != "bip" || r.res.upper.Cmp(lp.RI(3)) != 0 {
+		t.Fatalf("race = exact %v, upper %v by %q, want exact 3 by bip", r.res.exact, r.res.upper, r.res.strategy)
+	}
+}
