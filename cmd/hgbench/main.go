@@ -7,7 +7,6 @@
 // Usage:
 //
 //	hgbench [-exp E03] [-seed 1] [-quick] [-cpuprofile cpu.out] [-memprofile mem.out]
-//	hgbench -json BENCH.json
 package main
 
 import (
@@ -24,6 +23,7 @@ import (
 	"time"
 
 	"hypertree/internal/core"
+	"hypertree/internal/corpus"
 	"hypertree/internal/cover"
 	"hypertree/internal/csp"
 	"hypertree/internal/decomp"
@@ -39,7 +39,6 @@ var (
 	seed       = flag.Int64("seed", 1, "random seed for generated workloads")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	jsonOut    = flag.String("json", "", "run the engine benchmark set and write JSON records to this file")
 )
 
 type experiment struct {
@@ -51,13 +50,6 @@ type experiment struct {
 func main() {
 	sel := flag.String("exp", "", "run a single experiment (e.g. E03)")
 	flag.Parse()
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "json bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	exps := []experiment{
 		{"E01", "Lemma 2.3: ρ(K_2n) = ρ*(K_2n) = n", e01},
 		{"E02", "Figure 1 / Lemma 3.1: gadget widths and forced bags", e02},
@@ -388,8 +380,8 @@ func e12() {
 	if *quick {
 		per = 3
 	}
-	corpus := csp.SyntheticCorpus(rng, per)
-	s := csp.Collect(corpus)
+	synth := csp.SyntheticCorpus(rng, per)
+	s := csp.Collect(synth)
 	pct := func(a int) float64 { return 100 * float64(a) / float64(s.Total) }
 	fmt.Printf("  instances            %d\n", s.Total)
 	fmt.Printf("  acyclic              %d (%.0f%%)\n", s.Acyclic, pct(s.Acyclic))
@@ -402,33 +394,43 @@ func e12() {
 	// Corpus-scale width study through internal/solve: the serial leg
 	// mimics the pre-solve path (no preprocessing, no cache, one
 	// instance at a time); the parallel leg runs the full pipeline
-	// fanned out across GOMAXPROCS.
+	// through the corpus runner sharded across GOMAXPROCS, so its time
+	// also covers the runner's per-instance classification and trace.
 	ctx := context.Background()
 	budget := 5 * time.Second
+	serialSolver := solve.NewSolver(-1, 1)
 	serialOpt := solve.Options{Measure: solve.GHW, Timeout: budget, NoPreprocess: true}
+	serial := make([]*big.Rat, len(synth.Queries))
 	t0 := time.Now()
-	serial := csp.SolveCorpus(ctx, corpus, solve.NewSolver(-1, 1), serialOpt, 1)
+	for i, q := range synth.Queries {
+		if r, err := serialSolver.Solve(ctx, q.H, serialOpt); err == nil {
+			serial[i] = r.Upper
+		}
+	}
 	tSerial := time.Since(t0)
 
-	parOpt := solve.Options{Measure: solve.GHW, Timeout: budget}
+	items := make([]corpus.Loaded, len(synth.Queries))
+	for i, q := range synth.Queries {
+		items[i] = corpus.Loaded{Name: q.Name, H: q.H}
+	}
 	workers := runtime.GOMAXPROCS(0)
 	t1 := time.Now()
-	par := csp.SolveCorpus(ctx, corpus, solve.NewSolver(0, 0), parOpt, workers)
+	par := corpus.RunLoaded(ctx, solve.NewSolver(0, 0), items,
+		corpus.RunOptions{Measure: solve.GHW, Timeout: budget, Shards: workers}, nil)
 	tPar := time.Since(t1)
 
 	hist := map[string]int{}
 	exactN, agree := 0, true
-	for i, o := range par {
-		if o.Err != nil || o.Result.Upper == nil {
+	for i, r := range par {
+		if r.Err != "" || r.Upper == "" {
 			agree = false
 			continue
 		}
-		hist[o.Result.Upper.RatString()]++
-		if o.Result.Exact {
+		hist[r.Upper]++
+		if r.Exact {
 			exactN++
 		}
-		so := serial[i]
-		if so.Err != nil || so.Result.Upper == nil || so.Result.Upper.Cmp(o.Result.Upper) != 0 {
+		if serial[i] == nil || serial[i].RatString() != r.Upper {
 			agree = false
 		}
 	}

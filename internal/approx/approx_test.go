@@ -307,20 +307,32 @@ func TestLogNDisconnected(t *testing.T) {
 	}
 }
 
-// BenchmarkApproxLadder measures the full ladder — LogN plus the
-// improvement passes — on a mid-size grid, the bench-smoke leg CI runs
-// and `hgbench -json` records.
+// BenchmarkApproxLadder measures the ladder on a mid-size grid: the
+// logn leg is the recursive balanced-separator construction alone,
+// logn+improve chains the improvement passes the portfolio runs on every
+// incumbent.
 func BenchmarkApproxLadder(b *testing.B) {
 	h := hypergraph.Grid(4, 5)
 	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		d, _, err := LogN(ctx, h, Options{})
-		if err != nil {
-			b.Fatal(err)
+	for _, improve := range []bool{false, true} {
+		name := "logn"
+		if improve {
+			name = "logn+improve"
 		}
-		if _, _, err := Improve(ctx, h, d, ImproveOptions{}); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d, _, err := LogN(ctx, h, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !improve {
+					continue
+				}
+				if _, _, err := Improve(ctx, h, d, ImproveOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,14 @@
 package csp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hypertree/internal/core"
 	"hypertree/internal/decomp"
+	"hypertree/internal/lp"
+	"hypertree/internal/solve"
 )
 
 func TestParseCQ(t *testing.T) {
@@ -124,5 +127,36 @@ func TestParseCQHead(t *testing.T) {
 	}
 	if len(MustParseCQ("ans() :- r(X,Y)").Head) != 0 {
 		t.Fatal("boolean query must have empty head")
+	}
+}
+
+// TestSolveCorpusMatchesDirect solves the synthetic corpus through the
+// solve subsystem and cross-checks every instance small enough for the
+// exact DP against it; all witnesses must validate.
+func TestSolveCorpusMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	corpus := SyntheticCorpus(rng, 2)
+	checked := 0
+	for _, q := range corpus.Queries {
+		r, err := solve.Solve(context.Background(), q.H, solve.Options{Measure: solve.GHW, Validate: true})
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		if !r.Exact || r.Witness == nil {
+			t.Fatalf("%s: not exact (bounds [%s, %v])", q.Name, r.Lower.RatString(), r.Upper)
+		}
+		if err := r.Witness.Validate(decomp.GHD); err != nil {
+			t.Fatalf("%s: witness invalid: %v", q.Name, err)
+		}
+		if q.H.NumVertices() <= 16 {
+			want, _ := core.ExactGHW(q.H)
+			if r.Upper.Cmp(lp.RI(int64(want))) != 0 {
+				t.Errorf("%s: solve says %s, exact DP says %d", q.Name, r.Upper.RatString(), want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no instance was cross-checked against the exact DP")
 	}
 }

@@ -20,8 +20,8 @@ import (
 // entries.
 
 // Key identifies one cache slot: the canonical hypergraph, the measure,
-// and the result-shaping options (MaxK, ExactVertexLimit, NoPreprocess)
-// — two requests differing in those may legitimately get different
+// and the result-shaping options (ExactVertexLimit, NoPreprocess) — two
+// requests differing in those may legitimately get different
 // results, so they must not share an entry or an in-flight computation.
 // Validate and Timeout are deliberately excluded: only exact results are
 // cached, and an exact width does not depend on either.
@@ -29,7 +29,6 @@ type Key struct {
 	Measure    Measure
 	FP         uint64
 	canon      string
-	maxK       int
 	exactLimit int
 	noPre      bool
 }
@@ -70,7 +69,7 @@ func canonKey(opt Options, h *hypergraph.Hypergraph) (Key, []int) {
 	}
 	return Key{
 		Measure: opt.Measure, FP: fp, canon: b.String(),
-		maxK: opt.MaxK, exactLimit: opt.ExactVertexLimit, noPre: opt.NoPreprocess,
+		exactLimit: opt.ExactVertexLimit, noPre: opt.NoPreprocess,
 	}, relabel
 }
 

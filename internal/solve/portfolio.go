@@ -214,10 +214,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 		r.offerUpper(d.Width(), d, "trivial-ub", ProvHeuristic)
 	}
 
-	maxK := opt.MaxK
-	if maxK <= 0 {
-		maxK = bh.NumEdges()
-	}
+	maxK := bh.NumEdges()
 	exactLimit := opt.ExactVertexLimit
 	if exactLimit <= 0 {
 		exactLimit = defaultExactVertexLimit

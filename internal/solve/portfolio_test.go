@@ -73,39 +73,56 @@ func (c levelHookCtx) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-// TestDeepenGHDViaBIPSkipsRefutedLevels drives the bip lane directly
-// while another lane proves ghw ≥ 3 during the lane's first level. The
+// TestDeepenSkipsRefutedLevels drives each lower-bounding lane directly
+// while another lane proves width ≥ 3 during the lane's first level. The
 // lane must not re-run level 2, which that bound already refutes: no
 // deepen event may sit below the lower bound the race held when its
-// level started.
-func TestDeepenGHDViaBIPSkipsRefutedLevels(t *testing.T) {
-	bh := hypergraph.Grid(4, 4) // ghw = 3
-	ctx, tr := telemetry.WithTrace(context.Background())
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	r := &race{cancel: cancel}
-	var held []int // the race's lower bound at the start of each level
-	hook := levelHookCtx{Context: ctx, onLevel: func() {
-		held = append(held, r.snapshotLower())
-		if len(held) == 1 {
-			r.raiseLower(lp.RI(3), "other")
-		}
-	}}
-	deepenGHDViaBIP(hook, bh, r, Options{Measure: GHW}, bh.NumEdges(), tr, 0)
+// level started. On Grid(4,4) hw = ghw = 3.
+func TestDeepenSkipsRefutedLevels(t *testing.T) {
+	type lane func(context.Context, *hypergraph.Hypergraph, *race, Options, int, *telemetry.Trace, int)
+	for _, tc := range []struct {
+		name    string
+		measure Measure
+		run     lane
+		closes  bool // whether the lane's accepted level closes the race
+	}{
+		{"bip", GHW, deepenGHDViaBIP, true},
+		{"sat-ord", GHW, deepenSATOrdGHW, true},
+		{"sat-ord-lb", HW, deepenSATOrdHWLower, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bh := hypergraph.Grid(4, 4)
+			ctx, tr := telemetry.WithTrace(context.Background())
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			r := &race{cancel: cancel}
+			var held []int // the race's lower bound at the start of each level
+			hook := levelHookCtx{Context: ctx, onLevel: func() {
+				held = append(held, r.snapshotLower())
+				if len(held) == 1 {
+					r.raiseLower(lp.RI(3), "other")
+				}
+			}}
+			tc.run(hook, bh, r, Options{Measure: tc.measure}, bh.NumEdges(), tr, 0)
 
-	got := tr.Summary().KTrajectory("bip")
-	if len(got) != len(held) {
-		t.Fatalf("bip trajectory %v but %d levels started", got, len(held))
-	}
-	for i, k := range got {
-		if k < held[i] {
-			t.Fatalf("bip deepened to %d while the race held ghw ≥ %d (trajectory %v)", k, held[i], got)
-		}
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("bip trajectory %v, want [1 3]", got)
-	}
-	if !r.res.exact || r.res.strategy != "bip" || r.res.upper.Cmp(lp.RI(3)) != 0 {
-		t.Fatalf("race = exact %v, upper %v by %q, want exact 3 by bip", r.res.exact, r.res.upper, r.res.strategy)
+			got := tr.Summary().KTrajectory(tc.name)
+			if len(got) != len(held) {
+				t.Fatalf("%s trajectory %v but %d levels started", tc.name, got, len(held))
+			}
+			for i, k := range got {
+				if k < held[i] {
+					t.Fatalf("%s deepened to %d while the race held width ≥ %d (trajectory %v)", tc.name, k, held[i], got)
+				}
+			}
+			if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+				t.Fatalf("%s trajectory %v, want [1 3]", tc.name, got)
+			}
+			switch {
+			case tc.closes && (!r.res.exact || r.res.strategy != tc.name || r.res.upper.Cmp(lp.RI(3)) != 0):
+				t.Fatalf("race = exact %v, upper %v by %q, want exact 3 by %s", r.res.exact, r.res.upper, r.res.strategy, tc.name)
+			case !tc.closes && (r.res.witness != nil || r.res.lower.Cmp(lp.RI(3)) != 0):
+				t.Fatalf("race = lower %s, witness by %q; want lower 3 and no witness", r.res.lower.RatString(), r.res.strategy)
+			}
+		})
 	}
 }

@@ -55,7 +55,8 @@ func ctxDone(ctx context.Context) <-chan struct{} { return ctx.Done() }
 
 // deepenSATOrdGHW races the ordering encoding on the ghw measure. Every
 // UNSAT level is a proven lower bound; the first SAT level after them
-// is exact with a validated GHD witness.
+// is exact with a validated GHD witness. As in deepenHD, the next level
+// skips past lower bounds other lanes proved.
 func deepenSATOrdGHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
 	kCap := r.snapshotLower() + 2
 	s, err := ordenc.NewGHWSearch(bh, kCap)
@@ -63,7 +64,7 @@ func deepenSATOrdGHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, op
 		return
 	}
 	defer func() { flushSAT(tr, s.Stats()) }()
-	for k := r.snapshotLower(); k <= maxK; k++ {
+	for k := r.snapshotLower(); k <= maxK; k = max(k+1, r.snapshotLower()) {
 		mDeepenSteps.With("sat-ord").Inc()
 		tr.Deepen(blk, "sat-ord", k)
 		d, err := s.Check(ctxDone(ctx), k)
@@ -84,7 +85,8 @@ func deepenSATOrdGHW(ctx context.Context, bh *hypergraph.Hypergraph, r *race, op
 // deepenSATOrdHWLower contributes hw lower bounds: a level the ghw
 // encoding rejects is below ghw ≤ hw. It never offers witnesses — an
 // accepted ordering is a GHD, not necessarily an HD — and retires on
-// the first SAT level, leaving the upper bound to detk.
+// the first SAT level, leaving the upper bound to detk. Like the ghw
+// lane, it skips levels other lanes already refuted.
 func deepenSATOrdHWLower(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
 	kCap := r.snapshotLower() + 2
 	s, err := ordenc.NewGHWSearch(bh, kCap)
@@ -92,7 +94,7 @@ func deepenSATOrdHWLower(ctx context.Context, bh *hypergraph.Hypergraph, r *race
 		return
 	}
 	defer func() { flushSAT(tr, s.Stats()) }()
-	for k := r.snapshotLower(); k <= maxK; k++ {
+	for k := r.snapshotLower(); k <= maxK; k = max(k+1, r.snapshotLower()) {
 		mDeepenSteps.With("sat-ord-lb").Inc()
 		tr.Deepen(blk, "sat-ord-lb", k)
 		d, err := s.Check(ctxDone(ctx), k)

@@ -88,8 +88,6 @@ type Options struct {
 	// alone governs cancellation. On expiry Solve returns the best
 	// bounds proven so far with Partial set.
 	Timeout time.Duration
-	// MaxK caps the iterative-deepening strategies (0 = |E| per block).
-	MaxK int
 	// ExactVertexLimit overrides the exact-DP size gate (0 = 20).
 	ExactVertexLimit int
 	// NoPreprocess disables the simplification pipeline and solves the
