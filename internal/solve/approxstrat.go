@@ -28,7 +28,7 @@ var errMinFillCover = errors.New("min-fill: no cover for an elimination bag")
 // valid HD, GHD and FHD (the special condition is vacuous on a single
 // node), so it is a sound — if weak — upper bound for every measure.
 // Returns nil on an edgeless hypergraph.
-func trivialDecomp(bh *hypergraph.Hypergraph, _ Measure) *decomp.Decomp {
+func trivialDecomp(bh *hypergraph.Hypergraph) *decomp.Decomp {
 	if bh.NumEdges() == 0 {
 		return nil
 	}
@@ -51,24 +51,24 @@ func trivialDecomp(bh *hypergraph.Hypergraph, _ Measure) *decomp.Decomp {
 // offered as approx-certified rather than heuristic; a success chains
 // straight into the improvement rung under the same provenance (local
 // improvement only tightens, so the original certificate keeps holding).
-func runApproxLogN(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, tr *telemetry.Trace, blk int) {
+func runApproxLogN(ctx context.Context, r *race) {
 	mApproxRuns.With("logn").Inc()
-	d, st, err := approx.LogN(ctx, bh, approx.Options{Integral: opt.Measure == GHW})
+	d, st, err := approx.LogN(ctx, r.bh, approx.Options{Integral: r.opt.Measure == GHW})
 	if st != nil {
 		mApproxSepRetries.Add(int64(st.SepRetries))
-		flushLP(tr, st.LP)
-		tr.AddCounters(telemetry.Counters{ApproxRuns: 1, ApproxSepRetries: int64(st.SepRetries)})
+		flushLP(r.tr, st.LP)
+		r.tr.AddCounters(telemetry.Counters{ApproxRuns: 1, ApproxSepRetries: int64(st.SepRetries)})
 	}
 	if err != nil {
-		strategyFailure(ctx, tr, blk, "approx-logn", err)
+		strategyFailure(ctx, r.tr, r.blk, "approx-logn", err)
 		return
 	}
 	mApproxWitnesses.With("logn").Inc()
-	tr.Eventf("approx_cert", "block=%d width=%s cert_bound=%s ratio_bound=%s sep_budget=%d depth=%d",
-		blk, d.Width().RatString(), st.CertBound.RatString(),
-		approx.RatioBound(bh.NumVertices()).RatString(), st.SepBudget, st.Depth)
+	r.tr.Eventf("approx_cert", "block=%d width=%s cert_bound=%s ratio_bound=%s sep_budget=%d depth=%d",
+		r.blk, d.Width().RatString(), st.CertBound.RatString(),
+		approx.RatioBound(r.bh.NumVertices()).RatString(), st.SepBudget, st.Depth)
 	r.offerUpper(d.Width(), d, "approx-logn", ProvApproxCertified)
-	improveWitness(ctx, bh, r, d, ProvApproxCertified, opt, tr, blk)
+	improveWitness(ctx, r, d, ProvApproxCertified)
 }
 
 // improveWitness runs the ladder's second rung over a freshly produced
@@ -78,13 +78,13 @@ func runApproxLogN(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt 
 // (improvement never loosens, so a certified bound stays certified).
 // Not run for hw — the sweeps preserve GHD validity, not the special
 // condition.
-func improveWitness(ctx context.Context, bh *hypergraph.Hypergraph, r *race, base *decomp.Decomp, prov Provenance, opt Options, tr *telemetry.Trace, blk int) {
+func improveWitness(ctx context.Context, r *race, base *decomp.Decomp, prov Provenance) {
 	if ctx.Err() != nil {
 		return
 	}
 	mApproxRuns.With("improve").Inc()
-	out, st, err := approx.Improve(ctx, bh, base, approx.ImproveOptions{
-		Integral: opt.Measure == GHW,
+	out, st, err := approx.Improve(ctx, r.bh, base, approx.ImproveOptions{
+		Integral: r.opt.Measure == GHW,
 		OnImprove: func(d *decomp.Decomp) {
 			mApproxImproved.Inc()
 			r.offerUpper(d.Width(), d, "local-improve", prov)
@@ -92,11 +92,11 @@ func improveWitness(ctx context.Context, bh *hypergraph.Hypergraph, r *race, bas
 	})
 	if st != nil {
 		mApproxImprovePasses.Add(int64(st.Passes))
-		flushLP(tr, st.LP)
-		tr.AddCounters(telemetry.Counters{ApproxImprovePasses: int64(st.Passes)})
+		flushLP(r.tr, st.LP)
+		r.tr.AddCounters(telemetry.Counters{ApproxImprovePasses: int64(st.Passes)})
 		if st.Passes > 0 {
-			tr.Eventf("approx_improve", "block=%d passes=%d pruned=%d repriced=%d splits=%d",
-				blk, st.Passes, st.Pruned, st.Repriced, st.Splits)
+			r.tr.Eventf("approx_improve", "block=%d passes=%d pruned=%d repriced=%d splits=%d",
+				r.blk, st.Passes, st.Pruned, st.Repriced, st.Splits)
 		}
 	}
 	if out != nil {
@@ -106,7 +106,7 @@ func improveWitness(ctx context.Context, bh *hypergraph.Hypergraph, r *race, bas
 		r.offerUpper(out.Width(), out, "local-improve", prov)
 	}
 	if err != nil {
-		strategyFailure(ctx, tr, blk, "local-improve", err)
+		strategyFailure(ctx, r.tr, r.blk, "local-improve", err)
 	}
 }
 

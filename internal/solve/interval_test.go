@@ -22,7 +22,7 @@ import (
 // vacuously).
 func TestTrivialDecompAllMeasures(t *testing.T) {
 	for name, h := range fixtures() {
-		d := trivialDecomp(h, GHW)
+		d := trivialDecomp(h)
 		if d == nil {
 			t.Fatalf("%s: no trivial witness", name)
 		}

@@ -3,6 +3,7 @@ package solve
 import (
 	"context"
 	"math/big"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,33 +19,27 @@ import (
 // incumbent bounds: lower bounds rise as deepening proves levels
 // infeasible, upper bounds fall as heuristics and exact searches find
 // witnesses, and the moment the two meet the block context is cancelled
-// so the losing strategies stop burning cycles. Which strategies run
-// depends on the measure and the block size:
+// so the losing strategies stop burning cycles. The lanes table lists
+// each strategy with the measures and blocks it runs on and what its
+// answers prove. Per measure, following fhw ≤ ghw ≤ hw:
 //
-//	hw:   clique lower bound, then Check(HD,k) iterative deepening from
-//	      the bound (success at level k after failures below is exact);
-//	      the sat-ord-lb ordering encoding contributes ghw-based lower
-//	      bounds in parallel (ghw ≤ hw).
-//	ghw:  clique lower bound; exact elimination DP for small blocks;
-//	      min-fill GHD as a fast upper bound; Check(HD,k) deepening as
-//	      an upper-bound lane (every HD is a GHD, and Check(HD,k) is
-//	      polynomial where Check(GHD,k) needs subedge augmentation),
-//	      so on blocks with ghw = hw the deciders below only have to
-//	      refute the levels under its witness; Check(GHD,k)-via-BIP
-//	      iterative deepening; sat-ord incremental ordering-encoding
-//	      deepening (internal/ordenc) on blocks within its size gate.
+//	hw:   Check(HD,k) decides hw itself, so its deepening is exact; the
+//	      ghw encoding adds lower bounds only (ghw ≤ hw).
+//	ghw:  Check(GHD,k) and the ghw encoding decide ghw, so their
+//	      deepening is exact. Check(HD,k) is polynomial where
+//	      Check(GHD,k) needs subedge augmentation, and every HD is a
+//	      GHD, so it offers cheap upper bounds; on blocks with ghw = hw
+//	      the deciders then only have to refute the levels under them.
 //	fhw:  a bipartite block of rank ≤ 2 (a grid, an even cycle, a CQ
-//	      with binary atoms) runs the ghw race above: its incidence
-//	      matrix is totally unimodular, so every bag's cover LP has an
-//	      integral optimum and fhw = ghw. Every other block races the
-//	      fractional clique lower bound; exact elimination DP for small
-//	      blocks; min-fill FHD (plus local improvement) and the log n
-//	      approximation as fast upper bounds; sat-ord LP-hybrid (SAT
-//	      fixes orderings, the cover LP prices bags) which refines
-//	      accepted levels down to the exact fractional width. The
-//	      paper's Check(FHD,k) is not raced: deciding fhw ≤ k is
-//	      NP-complete even for k = 2, so it could only offer upper
-//	      bounds, and it never finished first on the benchmark mix.
+//	      with binary atoms) runs the ghw race: its incidence matrix is
+//	      totally unimodular, so every bag's cover LP has an integral
+//	      optimum and fhw = ghw. On every other block above the exact
+//	      DP's gate, only the LP-hybrid encoding, whose SAT core fixes
+//	      orderings while the cover LP prices bags, proves lower bounds
+//	      beyond the clique bound. The paper's Check(FHD,k) is not
+//	      raced: deciding fhw ≤ k is NP-complete even for k = 2, so it
+//	      could only offer upper bounds, and it never finished first on
+//	      the benchmark mix.
 
 // blockResult carries the outcome for one block.
 type blockResult struct {
@@ -57,8 +52,14 @@ type blockResult struct {
 	prov     Provenance // guarantee class of the incumbent witness
 }
 
-// race is the shared incumbent state of one block's strategy race.
+// race is the shared incumbent state of one block's strategy race, with
+// the block and request inputs every lane reads.
 type race struct {
+	bh  *hypergraph.Hypergraph
+	opt Options
+	tr  *telemetry.Trace
+	blk int // the block's index, labels trace events
+
 	mu     sync.Mutex
 	res    blockResult
 	cancel context.CancelFunc
@@ -191,7 +192,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	}
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r := &race{cancel: cancel}
+	r := &race{bh: bh, opt: opt, tr: tr, blk: blk, cancel: cancel}
 	r.res.lower = lp.RI(1)
 
 	// Inline clique lower bound: cheap, and it gives the deepening
@@ -210,98 +211,28 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	// even a ~1ms deadline (or an already-dead context) leaves the
 	// block with a finite certified upper bound. One greedy sweep is
 	// O(|E|·|V|) — cheap enough to be uncancellable.
-	if d := trivialDecomp(bh, opt.Measure); d != nil {
+	if d := trivialDecomp(bh); d != nil {
 		r.offerUpper(d.Width(), d, "trivial-ub", ProvHeuristic)
 	}
 
-	maxK := bh.NumEdges()
-	exactLimit := opt.ExactVertexLimit
-	if exactLimit <= 0 {
-		exactLimit = defaultExactVertexLimit
-	}
-
-	type strat struct {
-		name string
-		run  func()
-	}
-	var strategies []strat
-	satGate := nv > 1 && nv <= satOrdLimit(opt)
-	switch opt.Measure {
-	case HW:
-		strategies = append(strategies, strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk) }})
-		if satGate {
-			strategies = append(strategies, strat{"sat-ord-lb", func() { deepenSATOrdHWLower(bctx, bh, r, opt, maxK, tr, blk) }})
-		}
-	case GHW:
-		if nv <= exactLimit {
-			strategies = append(strategies, strat{"exact-dp", func() {
-				if w, d, err := core.ExactGHWCtx(bctx, bh); err == nil && d != nil {
-					r.offerExact(lp.RI(int64(w)), d, "exact-dp")
-				}
-			}})
-		}
-		strategies = append(strategies,
-			strat{"detk", func() { deepenHD(bctx, bh, r, opt, maxK, tr, blk) }},
-			strat{"minfill", func() {
-				w, d, err := core.MinFillGHDCtx(bctx, bh)
-				switch {
-				case err != nil:
-					strategyFailure(bctx, tr, blk, "minfill", err)
-				case d == nil:
-					strategyFailure(bctx, tr, blk, "minfill", errMinFillCover)
-				default:
-					r.offerUpper(lp.RI(int64(w)), d, "minfill", ProvHeuristic)
-					improveWitness(bctx, bh, r, d, ProvHeuristic, opt, tr, blk)
-				}
-			}},
-			strat{"approx-logn", func() { runApproxLogN(bctx, bh, r, opt, tr, blk) }},
-			strat{"bip", func() { deepenGHDViaBIP(bctx, bh, r, opt, maxK, tr, blk) }},
-		)
-		if satGate {
-			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdGHW(bctx, bh, r, opt, maxK, tr, blk) }})
-		}
-	case FHW:
-		if nv <= exactLimit {
-			strategies = append(strategies, strat{"exact-dp", func() {
-				if w, d, err := core.ExactFHWCtx(bctx, bh); err == nil && d != nil {
-					r.offerExact(w, d, "exact-dp")
-				}
-			}})
-		}
-		strategies = append(strategies,
-			strat{"minfill", func() {
-				w, d, err := core.MinFillFHDCtx(bctx, bh)
-				switch {
-				case err != nil:
-					strategyFailure(bctx, tr, blk, "minfill", err)
-				case d == nil:
-					strategyFailure(bctx, tr, blk, "minfill", errMinFillCover)
-				default:
-					r.offerUpper(w, d, "minfill", ProvHeuristic)
-					improveWitness(bctx, bh, r, d, ProvHeuristic, opt, tr, blk)
-				}
-			}},
-			strat{"approx-logn", func() { runApproxLogN(bctx, bh, r, opt, tr, blk) }},
-		)
-		if satGate {
-			strategies = append(strategies, strat{"sat-ord", func() { deepenSATOrdFHW(bctx, bh, r, opt, maxK, tr, blk) }})
-		}
-	}
-
 	var wg sync.WaitGroup
-	for _, st := range strategies {
+	for i := range lanes {
+		l := &lanes[i]
+		if !slices.Contains(l.measures, opt.Measure) || (l.gate != nil && !l.gate(nv, opt)) {
+			continue
+		}
 		wg.Add(1)
-		go func(st strat) {
+		go func() {
 			defer wg.Done()
 			if tr == nil {
-				st.run()
+				l.runIn(bctx, r)
 				return
 			}
-			tr.StrategyStart(blk, st.name)
+			tr.StrategyStart(blk, l.name)
 			t0 := time.Now()
-			st.run()
-			tr.StrategyEnd(blk, st.name, time.Since(t0), r.outcome(st.name, bctx))
-		}(st)
+			l.runIn(bctx, r)
+			tr.StrategyEnd(blk, l.name, time.Since(t0), r.outcome(l.name, bctx))
+		}()
 	}
 	// Every strategy polls its context, so on expiry they all unwind
 	// within one poll interval plus at most one LP/cover solve. The
@@ -343,67 +274,169 @@ func traceBipartite(tr *telemetry.Trace, blk int, colour []bool) {
 	tr.Eventf("bipartite", "block=%d sizes=%d/%d class=%v", blk, len(class), len(colour)-len(class), class)
 }
 
-// deepenHD runs Check(HD,k) iterative deepening. What a level proves
-// depends on the measure. Under hw every failed level is a proven lower
-// bound and the first success is exact. Under ghw (every HD is a GHD,
-// so ghw ≤ hw) a failure proves nothing and a success is only an upper
-// bound: the lane hands the race a cheap witness, and the ghw deciders
-// are left to refute the levels below it. Either way no level at or
-// above the incumbent upper bound is attempted, and the next level
-// skips past any lower bound another lane has proven meanwhile.
-func deepenHD(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
-	var es *core.EngineStats
-	if tr != nil {
-		es = &core.EngineStats{}
-		defer func() { tr.AddCounters(engineCounters(es)) }()
+// A lane is one strategy of a block's race. A one-shot lane runs once
+// and publishes what it finds; a deepening lane opens a per-level
+// decider that deepen runs from the race's lower bound upwards.
+type lane struct {
+	name     string                         // strategy label in traces and metrics
+	measures []Measure                      // the races it runs in
+	gate     func(nv int, opt Options) bool // by block vertex count; nil admits every block
+	run      func(ctx context.Context, r *race)
+	open     func(r *race) (check levelCheck, flush func(), err error)
+	yes, no  proof // what an accepted and a refuted level prove
+}
+
+// levelCheck decides one deepening level: a witness of width w ≤ k, or
+// a nil witness when no decomposition of width ≤ k exists.
+type levelCheck func(ctx context.Context, k int) (d *decomp.Decomp, w *big.Rat, err error)
+
+// A proof is what a deepening lane publishes for its answer at level k.
+// An accepted level retires the lane whatever it proves.
+type proof int
+
+const (
+	proofNone      proof = iota // nothing
+	proofLowerNext              // width > k: the lower bound k+1
+	// fhw > k, published as the closed bound k: strict bounds are not
+	// expressible in the race.
+	proofLowerClosed
+	proofExact // the witness's width is optimal
+	proofUpper // the witness's width is an upper bound
+)
+
+// lanes is every block's roster. A measure's race runs the rows that
+// list it, in table order, on the blocks their gates admit.
+var lanes = []lane{
+	{name: "exact-dp", measures: []Measure{GHW}, gate: exactGate, run: func(ctx context.Context, r *race) {
+		if w, d, err := core.ExactGHWCtx(ctx, r.bh); err == nil && d != nil {
+			r.offerExact(lp.RI(int64(w)), d, "exact-dp")
+		}
+	}},
+	{name: "exact-dp", measures: []Measure{FHW}, gate: exactGate, run: func(ctx context.Context, r *race) {
+		if w, d, err := core.ExactFHWCtx(ctx, r.bh); err == nil && d != nil {
+			r.offerExact(w, d, "exact-dp")
+		}
+	}},
+	// hw: Check(HD,k) decides hw, so a rejection is a lower bound and
+	// the first acceptance is exact.
+	{name: "detk", measures: []Measure{HW}, open: openEngine(core.CheckHDOptCtx), yes: proofExact, no: proofLowerNext},
+	// ghw ≤ hw: a rejection proves nothing, an acceptance is a witness.
+	{name: "detk", measures: []Measure{GHW}, open: openEngine(core.CheckHDOptCtx), yes: proofUpper, no: proofNone},
+	{name: "minfill", measures: []Measure{GHW}, run: func(ctx context.Context, r *race) {
+		w, d, err := core.MinFillGHDCtx(ctx, r.bh)
+		offerMinFill(ctx, r, lp.RI(int64(w)), d, err)
+	}},
+	{name: "minfill", measures: []Measure{FHW}, run: func(ctx context.Context, r *race) {
+		w, d, err := core.MinFillFHDCtx(ctx, r.bh)
+		offerMinFill(ctx, r, w, d, err)
+	}},
+	{name: "approx-logn", measures: []Measure{GHW, FHW}, run: runApproxLogN},
+	// Check(GHD,k) through subedge augmentation; it retires when the
+	// subedge closure exceeds its cap.
+	{name: "bip", measures: []Measure{GHW}, open: openEngine(core.CheckGHDViaBIPCtx), yes: proofExact, no: proofLowerNext},
+	{name: "sat-ord", measures: []Measure{GHW}, gate: satOrdGate, open: openSATOrdGHW, yes: proofExact, no: proofLowerNext},
+	// The ghw encoding under hw: a rejection is below ghw ≤ hw, but an
+	// accepted ordering is a GHD, not necessarily an HD.
+	{name: "sat-ord-lb", measures: []Measure{HW}, gate: satOrdGate, open: openSATOrdGHW, yes: proofNone, no: proofLowerNext},
+	{name: "sat-ord", measures: []Measure{FHW}, gate: satOrdGate, open: openSATOrdFHW, yes: proofExact, no: proofLowerClosed},
+}
+
+// runIn runs the lane in race r.
+func (l *lane) runIn(ctx context.Context, r *race) {
+	if l.open == nil {
+		l.run(ctx, r)
+		return
 	}
-	exact := opt.Measure == HW
-	copt := core.Options{Stats: es}
-	for k := r.snapshotLower(); k <= maxK && !r.upperBelow(k); k = max(k+1, r.snapshotLower()) {
-		mDeepenSteps.With("detk").Inc()
-		tr.Deepen(blk, "detk", k)
-		d, err := core.CheckHDOptCtx(ctx, bh, k, copt)
-		if err != nil {
+	deepen(ctx, l, r)
+}
+
+// deepen runs a deepening lane level by level from the race's lower
+// bound, publishing what each answer proves. The next level skips past
+// any lower bound another lane proved meanwhile. In the integral races
+// no level at or above the incumbent upper bound is attempted: uppers
+// there are integers and a refuting lane starts each level with lower ≥
+// k, so upper ≤ k means the race has closed, or that an upper-bound lane
+// could at best re-find the incumbent's width. Under fhw an upper bound
+// ≤ k may be fractional, and the level can still tighten or certify it.
+func deepen(ctx context.Context, l *lane, r *race) {
+	check, flush, err := l.open(r)
+	if err != nil {
+		return
+	}
+	defer flush()
+	integral := r.opt.Measure != FHW
+	for k := r.snapshotLower(); k <= r.bh.NumEdges(); k = max(k+1, r.snapshotLower()) {
+		if integral && r.upperBelow(k) {
 			return
 		}
+		mDeepenSteps.With(l.name).Inc()
+		r.tr.Deepen(r.blk, l.name, k)
+		d, w, err := check(ctx, k)
 		switch {
-		case d != nil && exact:
-			r.offerExact(lp.RI(int64(k)), d, "detk")
-			return
+		case err != nil:
+			return // canceled, or the decider gave up (bip's closure cap)
 		case d != nil:
-			r.offerUpper(d.Width(), d, "detk", ProvHeuristic)
+			switch l.yes {
+			case proofExact:
+				r.offerExact(w, d, l.name)
+			case proofUpper:
+				r.offerUpper(w, d, l.name, ProvHeuristic)
+			}
 			return
-		case exact:
-			r.raiseLower(lp.RI(int64(k+1)), "detk")
+		case l.no == proofLowerNext:
+			r.raiseLower(lp.RI(int64(k+1)), l.name)
+		case l.no == proofLowerClosed:
+			r.raiseLower(lp.RI(int64(k)), l.name)
 		}
 	}
 }
 
-// deepenGHDViaBIP runs Check(GHD,k) iterative deepening through the
-// subedge-augmentation reduction. If the subedge closure exceeds its cap
-// the strategy retires and leaves the field to the others. As in
-// deepenHD, the next level skips past lower bounds other lanes proved.
-func deepenGHDViaBIP(ctx context.Context, bh *hypergraph.Hypergraph, r *race, opt Options, maxK int, tr *telemetry.Trace, blk int) {
-	var es *core.EngineStats
-	if tr != nil {
-		es = &core.EngineStats{}
-		defer func() { tr.AddCounters(engineCounters(es)) }()
+// exactGate admits the blocks within the exact elimination DP's vertex
+// limit.
+func exactGate(nv int, opt Options) bool {
+	limit := opt.ExactVertexLimit
+	if limit <= 0 {
+		limit = defaultExactVertexLimit
 	}
-	copt := core.Options{Stats: es}
-	for k := r.snapshotLower(); k <= maxK; k = max(k+1, r.snapshotLower()) {
-		mDeepenSteps.With("bip").Inc()
-		tr.Deepen(blk, "bip", k)
-		d, err := core.CheckGHDViaBIPCtx(ctx, bh, k, copt)
-		if err != nil {
-			return // context done or closure cap exceeded
+	return nv <= limit
+}
+
+// openEngine opens a Check(·,k) lane over the decomposition engine.
+// Traced runs collect the engine's search counters and flush them into
+// the trace when the lane retires.
+func openEngine(decide func(context.Context, *hypergraph.Hypergraph, int, core.Options) (*decomp.Decomp, error)) func(*race) (levelCheck, func(), error) {
+	return func(r *race) (levelCheck, func(), error) {
+		var copt core.Options
+		flush := func() {}
+		if r.tr != nil {
+			es := &core.EngineStats{}
+			copt.Stats = es
+			flush = func() { r.tr.AddCounters(engineCounters(es)) }
 		}
-		if d != nil {
-			r.offerExact(lp.RI(int64(k)), d, "bip")
-			return
-		}
-		r.raiseLower(lp.RI(int64(k+1)), "bip")
-		if r.upperBelow(k + 1) {
-			return
-		}
+		return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
+			return withWidth(decide(ctx, r.bh, k, copt))
+		}, flush, nil
+	}
+}
+
+// withWidth pairs an integer decider's answer with its witness's width.
+func withWidth(d *decomp.Decomp, err error) (*decomp.Decomp, *big.Rat, error) {
+	if d == nil || err != nil {
+		return nil, nil, err
+	}
+	return d, d.Width(), nil
+}
+
+// offerMinFill publishes a min-fill witness and improves it, or
+// classifies the run's failure.
+func offerMinFill(ctx context.Context, r *race, w *big.Rat, d *decomp.Decomp, err error) {
+	switch {
+	case err != nil:
+		strategyFailure(ctx, r.tr, r.blk, "minfill", err)
+	case d == nil:
+		strategyFailure(ctx, r.tr, r.blk, "minfill", errMinFillCover)
+	default:
+		r.offerUpper(w, d, "minfill", ProvHeuristic)
+		improveWitness(ctx, r, d, ProvHeuristic)
 	}
 }

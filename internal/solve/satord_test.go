@@ -52,11 +52,11 @@ func TestSATOrdReuseFlushed(t *testing.T) {
 	bh := hypergraph.Grid(3, 3) // ghw 2: k=1 rejects, k=2 accepts
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := &race{cancel: cancel}
+	r := &race{bh: bh, opt: Options{Measure: GHW}, cancel: cancel}
 	r.res.lower = lp.RI(1)
 
 	before := TelemetrySnapshot()
-	deepenSATOrdGHW(ctx, bh, r, Options{}, bh.NumEdges(), nil, 0)
+	deepen(ctx, laneFor(t, "sat-ord", GHW), r)
 	after := TelemetrySnapshot()
 
 	if !r.res.exact || r.res.upper.Cmp(lp.RI(2)) != 0 {

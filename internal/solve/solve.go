@@ -490,7 +490,7 @@ func mergeBlocks(res *Result, h *hypergraph.Hypergraph, pieces []piece, opt Opti
 		res.Exact = res.Exact && b.exact
 		res.Partial = res.Partial || b.partial
 		if b.witness == nil {
-			if d := trivialDecomp(pieces[i].bh, opt.Measure); d != nil {
+			if d := trivialDecomp(pieces[i].bh); d != nil {
 				b.witness, b.upper = d, d.Width()
 				b.strategy, b.prov = "trivial-ub", ProvHeuristic
 				b.exact, b.partial = false, true
