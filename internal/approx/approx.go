@@ -320,7 +320,7 @@ func (b *builder) price(integral bool, st *Stats) (*decomp.Decomp, error) {
 			return nil, ErrUncoverable
 		}
 		if integral {
-			if better := IntegralCover(b.h, n.bag, exactCoverLimit); better != nil && weightLess(better, cov) {
+			if better := cover.IntegralCover(b.h, n.bag, exactCoverLimit); better != nil && weightLess(better, cov) {
 				cov = better
 			}
 		} else if w, frac := tl.Solve(n.bag); frac != nil && w.Cmp(cov.Weight()) < 0 {
@@ -345,26 +345,6 @@ func guaranteedCover(h *hypergraph.Hypergraph, bag hypergraph.VertexSet, edges [
 	}
 	if !rest.IsEmpty() {
 		return nil
-	}
-	return cov
-}
-
-// IntegralCover prices a bag with an integral edge cover: exact
-// branch-and-bound when the bag has at most exactLimit vertices, greedy
-// set cover otherwise. Returns nil when some bag vertex is uncoverable.
-func IntegralCover(h *hypergraph.Hypergraph, bag hypergraph.VertexSet, exactLimit int) cover.Fractional {
-	var edges []int
-	if bag.Count() <= exactLimit {
-		edges = cover.EdgeCover(h, bag, 0)
-	} else {
-		edges = cover.GreedyEdgeCover(h, bag)
-	}
-	if edges == nil {
-		return nil
-	}
-	cov := cover.Fractional{}
-	for _, e := range edges {
-		cov[e] = lp.RI(1)
 	}
 	return cov
 }

@@ -17,6 +17,7 @@ import (
 	. "hypertree/internal/approx"
 	"hypertree/internal/core"
 	"hypertree/internal/corpus"
+	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
@@ -151,7 +152,7 @@ func trivialDecomp(t *testing.T, h *hypergraph.Hypergraph) *decomp.Decomp {
 	for e := 0; e < h.NumEdges(); e++ {
 		bag.UnionInPlace(h.Edge(e))
 	}
-	cov := IntegralCover(h, bag, 0)
+	cov := cover.IntegralCover(h, bag, 0)
 	if cov == nil {
 		t.Fatal("greedy cover failed")
 	}

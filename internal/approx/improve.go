@@ -156,7 +156,7 @@ func (im *improver) reprice(ctx context.Context, d *decomp.Decomp) bool {
 // (nil, nil) when the pricer cannot beat it.
 func (im *improver) priceBag(bag hypergraph.VertexSet, budget *big.Rat) (cover.Fractional, *big.Rat) {
 	if im.opt.Integral {
-		cov := IntegralCover(im.h, bag, exactCoverLimit)
+		cov := cover.IntegralCover(im.h, bag, exactCoverLimit)
 		if cov == nil {
 			return nil, nil
 		}
@@ -221,7 +221,9 @@ func (im *improver) trySplit(ctx context.Context, d *decomp.Decomp) (*decomp.Dec
 		addClique(ifaces[i])
 	}
 
-	lbags, lparents := elimTree(ladj)
+	order := decomp.MinFillOrder(ladj, nil)
+	lbags := decomp.EliminationBags(ladj, order)
+	lparents := decomp.EliminationParents(order, lbags)
 	covs := make([]cover.Fractional, len(lbags))
 	gbags := make([]hypergraph.VertexSet, len(lbags))
 	for i, lb := range lbags {
@@ -328,93 +330,6 @@ func containingBag(bags []hypergraph.VertexSet, s hypergraph.VertexSet) int {
 		}
 	}
 	return -1
-}
-
-// elimTree runs min-fill elimination on a small adjacency-list graph and
-// returns the induced tree-decomposition bags (over local vertex ids)
-// with parent links (-1 for the root). Mirrors the construction of
-// core's elimination decomposition; disconnected leftovers chain onto
-// the next bag, which keeps a single tree without affecting validity.
-func elimTree(adj []hypergraph.VertexSet) ([]hypergraph.VertexSet, []int) {
-	n := len(adj)
-	work := make([]hypergraph.VertexSet, n)
-	for v := range adj {
-		work[v] = adj[v].Clone()
-	}
-	eliminated := hypergraph.NewVertexSet(n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		bestV, bestFill := -1, int(^uint(0)>>1)
-		for v := 0; v < n; v++ {
-			if eliminated.Has(v) {
-				continue
-			}
-			nb := work[v].Diff(eliminated).Vertices()
-			fill := 0
-			for i := 0; i < len(nb); i++ {
-				for j := i + 1; j < len(nb); j++ {
-					if !work[nb[i]].Has(nb[j]) {
-						fill++
-					}
-				}
-			}
-			if fill < bestFill {
-				bestV, bestFill = v, fill
-			}
-		}
-		nb := work[bestV].Diff(eliminated).Vertices()
-		for i := 0; i < len(nb); i++ {
-			for j := i + 1; j < len(nb); j++ {
-				work[nb[i]].Add(nb[j])
-				work[nb[j]].Add(nb[i])
-			}
-		}
-		eliminated.Add(bestV)
-		order = append(order, bestV)
-	}
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
-	}
-	// Rebuild fill-in adjacency to read each bag: v with its
-	// later-eliminated neighbors.
-	for v := range adj {
-		work[v] = adj[v].Clone()
-	}
-	eliminated = hypergraph.NewVertexSet(n)
-	bags := make([]hypergraph.VertexSet, n)
-	for i, v := range order {
-		nb := work[v].Diff(eliminated)
-		bags[i] = nb.With(v)
-		vs := nb.Vertices()
-		for a := 0; a < len(vs); a++ {
-			for b := a + 1; b < len(vs); b++ {
-				work[vs[a]].Add(vs[b])
-				work[vs[b]].Add(vs[a])
-			}
-		}
-		eliminated.Add(v)
-	}
-	parents := make([]int, n)
-	for i := range parents {
-		if i == n-1 {
-			parents[i] = -1
-			continue
-		}
-		next := i + 1
-		bestPos := n
-		bags[i].ForEach(func(u int) bool {
-			if pos[u] > i && pos[u] < bestPos {
-				bestPos = pos[u]
-			}
-			return true
-		})
-		if bestPos < n {
-			next = bestPos
-		}
-		parents[i] = next
-	}
-	return bags, parents
 }
 
 // rerootTree re-roots a parent-link tree at r.

@@ -36,148 +36,58 @@ func MinFillGHD(h *hypergraph.Hypergraph) (int, *decomp.Decomp) {
 	return int(w.Num().Int64()), d
 }
 
-// minFillOrder returns an elimination ordering of the primal graph chosen
-// greedily by minimum fill-in. A non-nil done channel is polled once per
-// eliminated vertex (see cancel.go).
+// minFillOrder returns the min-fill elimination ordering of h's primal
+// graph. A non-nil done channel is polled once per eliminated vertex
+// and unwinds with the canceled sentinel when it fires (see cancel.go).
 func minFillOrder(h *hypergraph.Hypergraph, done <-chan struct{}) []int {
-	n := h.NumVertices()
-	adj := make([]hypergraph.VertexSet, n)
-	for v, s := range h.AdjacencyMatrix() {
-		adj[v] = s.Clone()
-	}
-	eliminated := hypergraph.NewVertexSet(n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		if done != nil {
-			pollCancel(done)
-		}
-		bestV, bestFill := -1, int(^uint(0)>>1)
-		for v := 0; v < n; v++ {
-			if eliminated.Has(v) {
-				continue
-			}
-			nb := adj[v].Diff(eliminated).Vertices()
-			fill := 0
-			for i := 0; i < len(nb); i++ {
-				for j := i + 1; j < len(nb); j++ {
-					if !adj[nb[i]].Has(nb[j]) {
-						fill++
-					}
-				}
-			}
-			if fill < bestFill {
-				bestV, bestFill = v, fill
-			}
-		}
-		// Eliminate bestV: connect its remaining neighbours.
-		nb := adj[bestV].Diff(eliminated).Vertices()
-		for i := 0; i < len(nb); i++ {
-			for j := i + 1; j < len(nb); j++ {
-				adj[nb[i]].Add(nb[j])
-				adj[nb[j]].Add(nb[i])
-			}
-		}
-		eliminated.Add(bestV)
-		order = append(order, bestV)
+	order := decomp.MinFillOrder(h.AdjacencyMatrix(), done)
+	if order == nil {
+		panic(canceled{})
 	}
 	return order
 }
 
 // eliminationDecomp builds the tree decomposition induced by an
-// elimination ordering and covers each bag (integrally or fractionally).
-// A non-nil done channel is polled once per bag cover (see cancel.go).
+// elimination ordering and covers each bag (integrally or fractionally,
+// always exactly). It returns nil when some bag has no cover. A non-nil
+// done channel is polled once per bag cover (see cancel.go).
 func eliminationDecomp(h *hypergraph.Hypergraph, order []int, integral bool, done <-chan struct{}) *decomp.Decomp {
 	n := h.NumVertices()
 	if n == 0 || h.NumEdges() == 0 {
 		return nil
 	}
-	adj := make([]hypergraph.VertexSet, n)
-	for v, s := range h.AdjacencyMatrix() {
-		adj[v] = s.Clone()
-	}
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
-	}
-	bags := make([]hypergraph.VertexSet, n)
-	eliminated := hypergraph.NewVertexSet(n)
-	for i, v := range order {
-		nb := adj[v].Diff(eliminated)
-		bags[i] = nb.With(v)
-		vs := nb.Vertices()
-		for a := 0; a < len(vs); a++ {
-			for b := a + 1; b < len(vs); b++ {
-				adj[vs[a]].Add(vs[b])
-				adj[vs[b]].Add(vs[a])
-			}
-		}
-		eliminated.Add(v)
-	}
-	d := decomp.New(h)
-	ids := make([]int, n)
+	bags := decomp.EliminationBags(h.AdjacencyMatrix(), order)
+	covers := make([]cover.Fractional, n)
 	for i := n - 1; i >= 0; i-- {
 		if done != nil {
 			pollCancel(done)
 		}
-		parent := -1
-		if i < n-1 {
-			next := i + 1
-			bestPos := n
-			bags[i].ForEach(func(u int) bool {
-				if pos[u] > i && pos[u] < bestPos {
-					bestPos = pos[u]
-				}
-				return true
-			})
-			if bestPos < n {
-				next = bestPos
-			}
-			parent = ids[next]
-		}
-		var cov cover.Fractional
 		if integral {
-			cov = cover.Fractional{}
-			ec := cover.EdgeCover(h, bags[i], 0)
-			if ec == nil {
-				return nil
-			}
-			for _, e := range ec {
-				cov[e] = lp.RI(1)
-			}
+			covers[i] = cover.IntegralCover(h, bags[i], n)
 		} else {
-			var w *big.Rat
-			w, cov = cover.FractionalEdgeCover(h, bags[i])
-			if w == nil {
-				return nil
-			}
+			_, covers[i] = cover.FractionalEdgeCover(h, bags[i])
 		}
-		ids[i] = d.AddNode(parent, bags[i], cov)
+		if covers[i] == nil {
+			return nil
+		}
 	}
-	return d
+	return decomp.FromElimination(h, bags, decomp.EliminationParents(order, bags), covers)
 }
 
 // IntegralizeCovers implements the approximation step of Theorem 6.23:
 // given an FHD, replace each node's fractional cover by an integral edge
-// cover of the same bag (exact branch-and-bound when the bag is small,
-// greedy set cover otherwise), producing a GHD of width
+// cover of the same bag (cover.IntegralCover: exact branch-and-bound for
+// bags of at most exactBagLimit vertices, greedy set cover otherwise, so
+// a limit of 0 is always greedy), producing a GHD of width
 // ≤ max_u ρ(Bu) ≤ O(log(ρ*)·2^{vc+2}) · width(F) for bounded
-// VC-dimension / BMIP classes.
+// VC-dimension / BMIP classes. It returns nil when some bag has no
+// integral cover.
 func IntegralizeCovers(d *decomp.Decomp, exactBagLimit int) *decomp.Decomp {
 	out := d.Clone()
 	for u := range out.Nodes {
-		bag := out.Nodes[u].Bag
-		var edges []int
-		if exactBagLimit <= 0 || bag.Count() <= exactBagLimit {
-			edges = cover.EdgeCover(d.H, bag, 0)
-		} else {
-			edges = cover.GreedyEdgeCover(d.H, bag)
-		}
-		if edges == nil {
+		cov := cover.IntegralCover(d.H, out.Nodes[u].Bag, exactBagLimit)
+		if cov == nil {
 			return nil
-		}
-		cov := cover.Fractional{}
-		for _, e := range edges {
-			cov[e] = lp.RI(1)
 		}
 		out.Nodes[u].Cover = cov
 	}

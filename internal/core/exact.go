@@ -352,8 +352,8 @@ func (s *exactState) f(set uint64) int32 {
 	return best
 }
 
-// run executes the DP and reconstructs a decomposition; integral selects
-// integral covers for the bags.
+// run executes the DP and returns the decomposition of the optimal
+// elimination order; integral selects integral covers for the bags.
 func (s *exactState) run(integral bool) (*big.Rat, *decomp.Decomp) {
 	if s.n == 0 || s.h.NumEdges() == 0 {
 		return nil, nil
@@ -369,63 +369,10 @@ func (s *exactState) run(integral bool) (*big.Rat, *decomp.Decomp) {
 	w := s.pool.vals[wid]
 	// Recover the elimination order, first-eliminated first: the vertex
 	// chosen at state `set` is the last one eliminated among `set`.
-	seq := make([]int, 0, s.n)
-	for set := full; set != 0; {
-		v := s.choiceFor(set)
-		seq = append(seq, v)
-		set &^= 1 << uint(v)
+	order := make([]int, s.n)
+	for i, set := s.n-1, full; i >= 0; i-- {
+		order[i] = s.choiceFor(set)
+		set &^= 1 << uint(order[i])
 	}
-	order := make([]int, 0, s.n)
-	for i := len(seq) - 1; i >= 0; i-- {
-		order = append(order, seq[i])
-	}
-
-	// Bags along the order; connect node i to the node of the first
-	// vertex of bag_i \ {v_i} eliminated after v_i.
-	pos := make([]int, s.n)
-	for i, v := range order {
-		pos[v] = i
-	}
-	bags := make([]uint64, s.n)
-	prefix := uint64(0)
-	for i, v := range order {
-		bags[i] = s.q(prefix, v) | 1<<uint(v)
-		prefix |= 1 << uint(v)
-	}
-	d := decomp.New(s.h)
-	ids := make([]int, s.n)
-	// Build from the last node (root) backwards.
-	for i := s.n - 1; i >= 0; i-- {
-		parent := -1
-		if i < s.n-1 {
-			// Earliest-eliminated vertex in bag_i after position i; if
-			// none, attach to the next node.
-			next := i + 1
-			bestPos := s.n
-			m := bags[i] &^ (1 << uint(order[i]))
-			for m != 0 {
-				u := bits.TrailingZeros64(m)
-				m &^= 1 << uint(u)
-				if pos[u] > i && pos[u] < bestPos {
-					bestPos = pos[u]
-				}
-			}
-			if bestPos < s.n {
-				next = bestPos
-			}
-			parent = ids[next]
-		}
-		bag := maskToSet(bags[i], s.n)
-		var cov cover.Fractional
-		if integral {
-			cov = cover.Fractional{}
-			for _, e := range cover.EdgeCover(s.h, bag, 0) {
-				cov[e] = lp.RI(1)
-			}
-		} else {
-			_, cov = cover.FractionalEdgeCover(s.h, bag)
-		}
-		ids[i] = d.AddNode(parent, bag, cov)
-	}
-	return w, d
+	return w, eliminationDecomp(s.h, order, integral, nil)
 }

@@ -324,6 +324,27 @@ func GreedyEdgeCover(h *hypergraph.Hypergraph, target hypergraph.VertexSet) []in
 	return chosen
 }
 
+// IntegralCover prices a bag with an integral edge cover (unit weights):
+// exact branch and bound when the bag has at most exactLimit vertices,
+// greedy set cover otherwise — so a limit of 0 is always greedy on
+// non-empty bags. Returns nil when some bag vertex is uncoverable.
+func IntegralCover(h *hypergraph.Hypergraph, bag hypergraph.VertexSet, exactLimit int) Fractional {
+	var edges []int
+	if bag.Count() <= exactLimit {
+		edges = EdgeCover(h, bag, 0)
+	} else {
+		edges = GreedyEdgeCover(h, bag)
+	}
+	if edges == nil {
+		return nil
+	}
+	cov := Fractional{}
+	for _, e := range edges {
+		cov[e] = lp.RI(1)
+	}
+	return cov
+}
+
 // FractionalVertexCover computes the fractional transversality τ*(H)
 // (Definition 6.22): the minimum Σ w(v) with Σ_{v ∈ e} w(v) ≥ 1 for every
 // edge, w ≥ 0. Returns the weight and the vertex weights.

@@ -326,41 +326,17 @@ func (e *encoder) bags() []hypergraph.VertexSet {
 	return bags
 }
 
-// buildDecomp assembles the decomposition of an elimination ordering:
-// one node per vertex, parent = the earliest-eliminated other bag
-// member (bags only contain later vertices), root = the last vertex.
-// covers[i] is the edge cover of bag(i). Nodes are created in reverse
-// elimination order so parents exist before their children.
+// buildDecomp assembles the decomposition of an elimination ordering
+// from the vertex-indexed bags and covers a model decodes to: one node
+// per vertex, linked by decomp.EliminationParents (bags only contain
+// later vertices, so the parent is the earliest other bag member).
 func buildDecomp(h *hypergraph.Hypergraph, order []int, bags []hypergraph.VertexSet, covers []cover.Fractional) *decomp.Decomp {
-	n := len(order)
-	pos := make([]int, n)
+	posBags := make([]hypergraph.VertexSet, len(order))
+	posCovers := make([]cover.Fractional, len(order))
 	for t, v := range order {
-		pos[v] = t
+		posBags[t], posCovers[t] = bags[v], covers[v]
 	}
-	d := decomp.New(h)
-	node := make([]int, n)
-	for t := n - 1; t >= 0; t-- {
-		v := order[t]
-		parent := -1
-		if t < n-1 {
-			// Earliest-positioned other bag member, or the root for
-			// singleton bags (disconnected fill graphs).
-			best := -1
-			bags[v].ForEach(func(u int) bool {
-				if u != v && (best < 0 || pos[u] < pos[best]) {
-					best = u
-				}
-				return true
-			})
-			if best >= 0 {
-				parent = node[best]
-			} else {
-				parent = node[order[n-1]]
-			}
-		}
-		node[v] = d.AddNode(parent, bags[v], covers[v])
-	}
-	return d
+	return decomp.FromElimination(h, posBags, decomp.EliminationParents(order, posBags), posCovers)
 }
 
 // GHWSearch is an incremental ghw ≤ k oracle over one hypergraph. One

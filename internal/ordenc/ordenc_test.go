@@ -233,8 +233,9 @@ func TestSingleVertex(t *testing.T) {
 }
 
 // TestDisconnectedFillGraph exercises the singleton-bag parent fallback:
-// two vertex-disjoint edges never share a bag, so the later component's
-// nodes attach to the global root.
+// two vertex-disjoint edges never share a bag, so the last node of the
+// earlier-eliminated component has no later bag member and attaches to
+// the node at the next position, which belongs to the other component.
 func TestDisconnectedFillGraph(t *testing.T) {
 	h := hypergraph.New()
 	h.AddEdge("e1", "a", "b")
@@ -244,6 +245,13 @@ func TestDisconnectedFillGraph(t *testing.T) {
 		t.Fatalf("ghw = %d, want 1", k)
 	}
 	if err := d.Validate(decomp.GHD); err != nil {
+		t.Fatal(err)
+	}
+	w, fd, _ := fhwViaOrdering(t, h)
+	if w.Cmp(lp.RI(1)) != 0 {
+		t.Fatalf("fhw = %s, want 1", w.RatString())
+	}
+	if err := fd.ValidateWidth(decomp.FHD, w); err != nil {
 		t.Fatal(err)
 	}
 }

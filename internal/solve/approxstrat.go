@@ -13,6 +13,7 @@ import (
 	"errors"
 
 	"hypertree/internal/approx"
+	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/telemetry"
@@ -36,7 +37,7 @@ func trivialDecomp(bh *hypergraph.Hypergraph) *decomp.Decomp {
 	for e := 0; e < bh.NumEdges(); e++ {
 		bag.UnionInPlace(bh.Edge(e))
 	}
-	cov := approx.IntegralCover(bh, bag, 0)
+	cov := cover.IntegralCover(bh, bag, 0)
 	if cov == nil {
 		return nil
 	}
