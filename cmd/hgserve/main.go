@@ -24,10 +24,11 @@
 //	                 → an NDJSON stream: one "result" (or "error") line
 //	                 per instance as it finishes, a "progress" line
 //	                 after each, and a final "done" line.
-//	GET  /healthz    liveness plus serving/cache/batch statistics and
-//	                 the process-wide solve telemetry aggregate.
+//	GET  /healthz    liveness plus serving/cache/batch statistics; the
+//	                 process-wide solve counters are on /metrics only.
 //	GET  /metrics    Prometheus text exposition of every registered
-//	                 counter/gauge/histogram (see OBSERVABILITY.md).
+//	                 counter and histogram plus the server's gauges
+//	                 (see OBSERVABILITY.md).
 //
 // /width and /decompose accept a ?trace=1 query flag that embeds the
 // request's solve trace (strategy timeline, deepening steps, engine and
@@ -359,10 +360,6 @@ type healthzResponse struct {
 	BatchInflight int64             `json:"batch_inflight"`
 	BatchQueued   int64             `json:"batch_queued"`
 	Cache         *solve.CacheStats `json:"cache,omitempty"`
-	// Telemetry is the process-wide solve aggregate: strategy wins,
-	// engine memo/DynComponents counters, cover-LP path mix and the
-	// basis- and result-cache totals (see OBSERVABILITY.md).
-	Telemetry solve.Snapshot `json:"telemetry"`
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -375,7 +372,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Rejected:      s.rejected.Load(),
 		BatchInflight: s.batchInflight.Load(),
 		BatchQueued:   s.batchQueued.Load(),
-		Telemetry:     solve.TelemetrySnapshot(),
 	}
 	if c := s.solver.Cache(); c != nil {
 		st := c.Stats()

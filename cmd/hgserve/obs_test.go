@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -70,25 +69,29 @@ func TestTraceQueryFlag(t *testing.T) {
 	}
 }
 
-func TestHealthzTelemetry(t *testing.T) {
+// TestMetricsEngineSubproblems checks that the process-wide solve
+// counters reach /metrics: after one solve the engine's subproblem
+// total cannot be zero.
+func TestMetricsEngineSubproblems(t *testing.T) {
 	ts := testServer(t)
-	if resp, _ := post(t, ts, "/width", widthRequest{Hypergraph: "e1(a,b), e2(b,c)", Measure: "fhw"}); resp.StatusCode != http.StatusOK {
+	if resp, _ := post(t, ts, "/width", widthRequest{Hypergraph: "e1(a,b), e2(b,c), e3(c,d)", Measure: "hw"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d", resp.StatusCode)
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "hg_engine_subproblems_total "); ok {
+			if v == "0" {
+				t.Fatalf("hg_engine_subproblems_total is 0 after a solve")
+			}
+			return
+		}
 	}
-	// The telemetry counters are process-wide: every test solve in this
-	// binary feeds them, so after the solve above they cannot be zero.
-	if hr.Telemetry.Solves == 0 || hr.Telemetry.Engine.Subproblems == 0 {
-		t.Fatalf("healthz telemetry empty: %+v", hr.Telemetry)
-	}
+	t.Fatalf("/metrics lacks hg_engine_subproblems_total:\n%s", body)
 }
 
 func TestPprofGated(t *testing.T) {

@@ -54,12 +54,6 @@ type Options struct {
 	// (and a ghw upper bound); the default prices fractionally through
 	// one target LP, yielding an FHD.
 	Integral bool
-	// StartEdges seeds the doubling search over the separator edge
-	// budget m (0 = 1). Seeding at a known lower bound skips the
-	// budgets that cannot succeed anyway.
-	StartEdges int
-	// MaxEdges caps the budget ladder (0 = |E|, which always succeeds).
-	MaxEdges int
 }
 
 // Stats reports what one LogN run did.
@@ -113,17 +107,8 @@ func LogN(ctx context.Context, h *hypergraph.Hypergraph, opt Options) (*decomp.D
 	if covered.IsEmpty() {
 		return nil, nil, errors.New("approx: no non-empty edges")
 	}
-	maxE := opt.MaxEdges
-	if maxE <= 0 || maxE > h.NumEdges() {
-		maxE = h.NumEdges()
-	}
-	m := opt.StartEdges
-	if m < 1 {
-		m = 1
-	}
-	if m > maxE {
-		m = maxE
-	}
+	maxE := h.NumEdges()
+	m := 1
 	st := &Stats{}
 	adj := h.AdjacencyMatrix()
 	for {

@@ -19,6 +19,7 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
+	"hypertree/internal/telemetry"
 )
 
 // diffBasisDeepening runs the deepening loop twice over h — one shared
@@ -117,8 +118,8 @@ func TestCheckFHDBasisCacheCounters(t *testing.T) {
 	h := hypergraph.Clique(3)
 	t.Run("parallelism=1", func(t *testing.T) {
 		basis := cover.NewBasisCache(0)
-		es := &core.EngineStats{}
-		opt := core.FHDOptions{Basis: basis, Stats: es}
+		tr := telemetry.NewTrace()
+		opt := core.FHDOptions{Basis: basis, Trace: tr}
 		for k := 1; k <= 2; k++ {
 			d, err := core.CheckFHDCtx(context.Background(), h, lp.RI(int64(k)), opt)
 			if err != nil {
@@ -138,8 +139,8 @@ func TestCheckFHDBasisCacheCounters(t *testing.T) {
 		if bs := basis.Stats(); bs.Borrows == 0 {
 			t.Fatalf("the run never borrowed from the cache: %+v", bs)
 		}
-		if es.Subproblems == 0 || es.DynResets == 0 {
-			t.Fatalf("engine counters missing: %+v", *es)
+		if c := tr.Summary().Counters; c.EngineRuns != 2 || c.EngineSubproblems == 0 || c.DynResets == 0 {
+			t.Fatalf("engine counters missing: %+v", c)
 		}
 	})
 }

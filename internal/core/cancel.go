@@ -49,19 +49,12 @@ func recoverCanceled(ctx context.Context, err *error) {
 // the deadline expires or the context is canceled mid-search, and
 // otherwise behaves exactly like CheckHD.
 func CheckHDCtx(ctx context.Context, h *hypergraph.Hypergraph, k int) (d *decomp.Decomp, err error) {
-	return CheckHDStatsCtx(ctx, h, k, nil)
-}
-
-// CheckHDStatsCtx is CheckHDCtx with an optional engine-stats sink:
-// when stats is non-nil the run's counters are added to it on return
-// (including cancelled returns — the deferred flush runs during
-// unwinding). Traced solves use this; pass nil otherwise.
-func CheckHDStatsCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, stats *EngineStats) (d *decomp.Decomp, err error) {
-	return CheckHDOptCtx(ctx, h, k, Options{Stats: stats})
+	return CheckHDOptCtx(ctx, h, k, Options{})
 }
 
 // CheckHDOptCtx is CheckHDOpt under a context: cancellable, with the
-// stats sink of Options.
+// trace of Options (cancelled runs publish their counters too: the
+// deferred publish runs during unwinding).
 func CheckHDOptCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, opt Options) (d *decomp.Decomp, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

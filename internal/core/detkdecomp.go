@@ -211,21 +211,21 @@ func CheckHD(h *hypergraph.Hypergraph, k int) *decomp.Decomp {
 	return checkHD(h, k, nil, Options{})
 }
 
-// CheckHDOpt is CheckHD with engine options — the stats sink; the
+// CheckHDOpt is CheckHD with engine options — the request trace; the
 // GHD-specific subedge cap is ignored.
 func CheckHDOpt(h *hypergraph.Hypergraph, k int, opt Options) *decomp.Decomp {
 	return checkHD(h, k, nil, opt)
 }
 
 // checkHD is CheckHD with an optional cancellation channel and engine
-// options; see CheckHDCtx and CheckHDStatsCtx in cancel.go for the
+// options; see CheckHDCtx and CheckHDOptCtx in cancel.go for the
 // context-aware entry points.
 func checkHD(h *hypergraph.Hypergraph, k int, done <-chan struct{}, opt Options) *decomp.Decomp {
 	if k <= 0 || h.NumEdges() == 0 {
 		return nil
 	}
 	e := newEngine(h, newHDOracle(h, k), false, done)
-	e.sink = opt.Stats
+	e.trace = opt.Trace
 	defer e.finish()
 	key, ok := e.decompose(h.Vertices(), engineState{a: hypergraph.NewVertexSet(h.NumVertices())})
 	if !ok {

@@ -37,6 +37,7 @@ import (
 	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
+	"hypertree/internal/telemetry"
 )
 
 // engineState is the oracle-defined part of a subproblem's identity
@@ -165,11 +166,10 @@ type engine struct {
 	compBuf  []*hypergraph.DynComp
 
 	// Run counters, accumulated as plain ints (no atomics on the hot
-	// path — an engine is single-goroutine) and flushed once in
-	// finish() — to the process-wide telemetry counters and, when the
-	// caller threaded one through, to sink.
-	stats EngineStats
-	sink  *EngineStats
+	// path — an engine is single-goroutine) and published once, in
+	// finish(), to the process totals and the caller's trace, if any.
+	stats telemetry.Counters
+	trace *telemetry.Trace
 }
 
 func newEngine(h *hypergraph.Hypergraph, o coverOracle, trim bool, done <-chan struct{}) *engine {
@@ -229,15 +229,17 @@ func (e *engine) getDyn(c, seedEV hypergraph.VertexSet) *hypergraph.DynComponent
 	return dc
 }
 
-// finish releases the engine's pooled structures for later runs. Entry
-// points defer it after newEngine; the memoized nodes and arena stay
-// with the engine (build reads them), only the dyn structures move.
+// finish releases the engine's pooled structures for later runs and
+// publishes the run's counters. Entry points defer it after newEngine,
+// so cancelled runs publish too; the memoized nodes and arena stay with
+// the engine (build reads them), only the dyn structures move.
 func (e *engine) finish() {
 	for _, dc := range e.dynFree {
 		dynPool.Put(dc)
 	}
 	e.dynFree = e.dynFree[:0]
-	e.flushStats()
+	e.stats.EngineRuns = 1
+	telemetry.Publish(e.trace, e.stats)
 }
 
 // poll checks for cancellation every pollMask+1 calls. Oracles call it
@@ -269,7 +271,7 @@ func (e *engine) decompose(c hypergraph.VertexSet, st engineState) (engineKey, b
 		st.b = b
 	}
 	if n, done := e.memo[key]; done {
-		e.stats.MemoHits++
+		e.stats.EngineMemoHits++
 		return key, n != nil
 	}
 	var prevDyn *hypergraph.DynComponents
@@ -301,7 +303,7 @@ func (e *engine) decompose(c hypergraph.VertexSet, st engineState) (engineKey, b
 		e.dyn = prevDyn
 	}
 	e.memo[key] = node
-	e.stats.Subproblems++
+	e.stats.EngineSubproblems++
 	return key, node != nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
+	"hypertree/internal/telemetry"
 )
 
 // FHDOptions configure CheckFHD.
@@ -33,11 +34,10 @@ type FHDOptions struct {
 	// When nil the run uses a private pool. A BasisCache is not safe for
 	// concurrent use — do not share across parallel strategies.
 	Basis *cover.BasisCache
-	// Stats, when non-nil, receives the engine's run counters on
-	// completion (added, so one sink can accumulate across deepening
-	// levels). Leave nil when not tracing: the nil path adds nothing to
-	// the run.
-	Stats *EngineStats
+	// Trace, when non-nil, receives the engine's run counters on
+	// completion (added, so one trace accumulates across deepening
+	// levels). The process totals receive them either way.
+	Trace *telemetry.Trace
 	// Deprecated: ignored; every run is the serial search. Kept only so
 	// perfbench/ compiles; removed with the ROADMAP's Stage 1 names.
 	Parallelism int
@@ -419,7 +419,7 @@ func checkFHD(h *hypergraph.Hypergraph, k *big.Rat, opt FHDOptions, done <-chan 
 func runFHD(h *hypergraph.Hypergraph, aug *Augmented, k *big.Rat, maxSupport, maxSets int, opt FHDOptions, done <-chan struct{}) (*decomp.Decomp, error) {
 	o := newFHDOracle(h, aug, k, maxSupport, maxSets, opt.Basis)
 	e := newEngine(h, o, false, done)
-	e.sink = opt.Stats
+	e.trace = opt.Trace
 	defer e.finish()
 	key, ok := e.decompose(h.Vertices(), engineState{a: hypergraph.NewVertexSet(h.NumVertices())})
 	if o.err != nil {

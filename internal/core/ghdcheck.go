@@ -7,6 +7,7 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
+	"hypertree/internal/telemetry"
 )
 
 // Options configure the Check(GHD,k) procedures (and, via CheckHDOpt,
@@ -15,10 +16,10 @@ type Options struct {
 	// MaxSubedges caps the number of distinct subedges the lazy
 	// generator may intern over the whole run (0 = library default).
 	MaxSubedges int
-	// Stats, when non-nil, receives the engine's run counters on
-	// completion (added, so one sink can accumulate across deepening
-	// levels). Leave nil when not tracing.
-	Stats *EngineStats
+	// Trace, when non-nil, receives the engine's run counters on
+	// completion (added, so one trace accumulates across deepening
+	// levels). The process totals receive them either way.
+	Trace *telemetry.Trace
 	// Deprecated: ignored; every run is the serial search. Kept only so
 	// perfbench/ compiles; removed with the ROADMAP's Stage 1 names.
 	Parallelism int
@@ -363,7 +364,7 @@ func checkGHD(h *hypergraph.Hypergraph, k int, opt Options, exact bool, done <-c
 	}
 	o := newGHDOracle(h, k, exact, max)
 	e := newEngine(h, o, false, done)
-	e.sink = opt.Stats
+	e.trace = opt.Trace
 	defer e.finish()
 	key, ok := e.decompose(h.Vertices(), engineState{a: hypergraph.NewVertexSet(h.NumVertices())})
 	if o.err != nil {

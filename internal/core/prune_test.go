@@ -7,7 +7,17 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
+	"hypertree/internal/telemetry"
 )
+
+// engineCount is the part of an engine run's counters the pruning must
+// leave unchanged.
+type engineCount struct{ subproblems, memoHits int64 }
+
+func countOf(tr *telemetry.Trace) engineCount {
+	c := tr.Summary().Counters
+	return engineCount{c.EngineSubproblems, c.EngineMemoHits}
+}
 
 // TestConnectorPruningKeepsSearch pins the engine counters of
 // Check(HD,k) and Check(GHD,k) on grids to the values the unpruned λ
@@ -19,30 +29,30 @@ func TestConnectorPruningKeepsSearch(t *testing.T) {
 	for _, tc := range []struct {
 		rows, cols, k int
 		accept        bool
-		hd, ghd       EngineStats
+		hd, ghd       engineCount
 	}{
-		{4, 4, 2, false, EngineStats{Subproblems: 294, MemoHits: 986}, EngineStats{Subproblems: 621, MemoHits: 6152}},
-		{5, 5, 2, false, EngineStats{Subproblems: 807, MemoHits: 2337}, EngineStats{Subproblems: 1807, MemoHits: 16971}},
-		{5, 6, 3, true, EngineStats{Subproblems: 126, MemoHits: 97}, EngineStats{Subproblems: 145, MemoHits: 162}},
-		{5, 8, 3, true, EngineStats{Subproblems: 170, MemoHits: 97}, EngineStats{Subproblems: 199, MemoHits: 198}},
-		{6, 6, 2, false, EngineStats{Subproblems: 1808, MemoHits: 4770}, EngineStats{Subproblems: 4141, MemoHits: 38076}},
+		{4, 4, 2, false, engineCount{294, 986}, engineCount{621, 6152}},
+		{5, 5, 2, false, engineCount{807, 2337}, engineCount{1807, 16971}},
+		{5, 6, 3, true, engineCount{126, 97}, engineCount{145, 162}},
+		{5, 8, 3, true, engineCount{170, 97}, engineCount{199, 198}},
+		{6, 6, 2, false, engineCount{1808, 4770}, engineCount{4141, 38076}},
 	} {
 		h := hypergraph.Grid(tc.rows, tc.cols)
 		name := fmt.Sprintf("grid%dx%d/k%d", tc.rows, tc.cols, tc.k)
 		t.Run(name, func(t *testing.T) {
-			var hs, gs EngineStats
-			hd := CheckHDOpt(h, tc.k, Options{Stats: &hs})
-			ghd, err := CheckGHDViaBIP(h, tc.k, Options{Stats: &gs})
+			hs, gs := telemetry.NewTrace(), telemetry.NewTrace()
+			hd := CheckHDOpt(h, tc.k, Options{Trace: hs})
+			ghd, err := CheckGHDViaBIP(h, tc.k, Options{Trace: gs})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if (hd != nil) != tc.accept || (ghd != nil) != tc.accept {
 				t.Fatalf("CheckHD accepts %v, CheckGHDViaBIP accepts %v, want %v", hd != nil, ghd != nil, tc.accept)
 			}
-			if got := (EngineStats{Subproblems: hs.Subproblems, MemoHits: hs.MemoHits}); got != tc.hd {
+			if got := countOf(hs); got != tc.hd {
 				t.Errorf("CheckHD stats %+v, want %+v", got, tc.hd)
 			}
-			if got := (EngineStats{Subproblems: gs.Subproblems, MemoHits: gs.MemoHits}); got != tc.ghd {
+			if got := countOf(gs); got != tc.ghd {
 				t.Errorf("CheckGHDViaBIP stats %+v, want %+v", got, tc.ghd)
 			}
 			k := lp.RI(int64(tc.k))

@@ -55,11 +55,12 @@ func trivialDecomp(bh *hypergraph.Hypergraph) *decomp.Decomp {
 func runApproxLogN(ctx context.Context, r *race) {
 	mApproxRuns.With("logn").Inc()
 	d, st, err := approx.LogN(ctx, r.bh, approx.Options{Integral: r.opt.Measure == GHW})
+	c := telemetry.Counters{ApproxRuns: 1}
 	if st != nil {
-		mApproxSepRetries.Add(int64(st.SepRetries))
-		flushLP(r.tr, st.LP)
-		r.tr.AddCounters(telemetry.Counters{ApproxRuns: 1, ApproxSepRetries: int64(st.SepRetries)})
+		c.ApproxSepRetries = int64(st.SepRetries)
+		setLP(&c, st.LP)
 	}
+	telemetry.Publish(r.tr, c)
 	if err != nil {
 		strategyFailure(ctx, r.tr, r.blk, "approx-logn", err)
 		return
@@ -84,22 +85,23 @@ func improveWitness(ctx context.Context, r *race, base *decomp.Decomp, prov Prov
 		return
 	}
 	mApproxRuns.With("improve").Inc()
+	c := telemetry.Counters{ApproxRuns: 1}
 	out, st, err := approx.Improve(ctx, r.bh, base, approx.ImproveOptions{
 		Integral: r.opt.Measure == GHW,
 		OnImprove: func(d *decomp.Decomp) {
-			mApproxImproved.Inc()
+			c.ApproxImproved++
 			r.offerUpper(d.Width(), d, "local-improve", prov)
 		},
 	})
 	if st != nil {
-		mApproxImprovePasses.Add(int64(st.Passes))
-		flushLP(r.tr, st.LP)
-		r.tr.AddCounters(telemetry.Counters{ApproxImprovePasses: int64(st.Passes)})
+		c.ApproxImprovePasses = int64(st.Passes)
+		setLP(&c, st.LP)
 		if st.Passes > 0 {
 			r.tr.Eventf("approx_improve", "block=%d passes=%d pruned=%d repriced=%d splits=%d",
 				r.blk, st.Passes, st.Pruned, st.Repriced, st.Splits)
 		}
 	}
+	telemetry.Publish(r.tr, c)
 	if out != nil {
 		// Improve returns its best-so-far even when cancelled mid-pass;
 		// offerUpper ignores anything not strictly tighter.

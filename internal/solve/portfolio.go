@@ -402,20 +402,14 @@ func exactGate(nv int, opt Options) bool {
 }
 
 // openEngine opens a Check(·,k) lane over the decomposition engine.
-// Traced runs collect the engine's search counters and flush them into
-// the trace when the lane retires.
+// Each engine run publishes its own counters into the request trace, so
+// retiring has nothing left to flush.
 func openEngine(decide func(context.Context, *hypergraph.Hypergraph, int, core.Options) (*decomp.Decomp, error)) func(*race) (levelCheck, func(), error) {
 	return func(r *race) (levelCheck, func(), error) {
-		var copt core.Options
-		flush := func() {}
-		if r.tr != nil {
-			es := &core.EngineStats{}
-			copt.Stats = es
-			flush = func() { r.tr.AddCounters(engineCounters(es)) }
-		}
+		copt := core.Options{Trace: r.tr}
 		return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
 			return withWidth(decide(ctx, r.bh, k, copt))
-		}, flush, nil
+		}, func() {}, nil
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/lp"
 	"hypertree/internal/ordenc"
+	"hypertree/internal/telemetry"
 )
 
 // defaultSATOrdLimit is the block vertex-count gate for the sat-ord
@@ -39,15 +40,20 @@ func satOrdGate(nv int, opt Options) bool {
 }
 
 // openSATOrdGHW opens the ghw encoding, sized for the levels just above
-// the race's lower bound. Retiring flushes the hg_sat_* counters.
+// the race's lower bound. Retiring publishes the search's SAT counters.
 func openSATOrdGHW(r *race) (levelCheck, func(), error) {
 	s, err := ordenc.NewGHWSearch(r.bh, r.snapshotLower()+2)
 	if err != nil {
 		return nil, nil, err
 	}
+	flush := func() {
+		var c telemetry.Counters
+		setSAT(&c, s.Stats())
+		telemetry.Publish(r.tr, c)
+	}
 	return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
 		return withWidth(s.Check(ctx.Done(), k))
-	}, func() { flushSAT(r.tr, s.Stats()) }, nil
+	}, flush, nil
 }
 
 // openSATOrdFHW opens the LP-hybrid. An accepted level yields a witness
@@ -58,9 +64,15 @@ func openSATOrdFHW(r *race) (levelCheck, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// Retiring publishes the SAT counters and the solver pool's: every
+	// borrow counts as a basis-cache miss, and the pool has folded in
+	// the LP counters of every solver returned to it.
 	flush := func() {
-		flushSAT(r.tr, s.Stats())
-		flushBasis(r.tr, s.Basis())
+		bs := s.Basis().Stats()
+		c := telemetry.Counters{BasisMisses: int64(bs.Borrows), BasisEvictions: int64(bs.Evictions)}
+		setLP(&c, s.Basis().LPStats())
+		setSAT(&c, s.Stats())
+		telemetry.Publish(r.tr, c)
 	}
 	return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
 		done := ctx.Done()

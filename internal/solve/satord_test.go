@@ -6,6 +6,7 @@ import (
 
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
+	"hypertree/internal/telemetry"
 )
 
 // TestSATOrdSolveDifferential runs full solves with the sat-ord
@@ -55,9 +56,9 @@ func TestSATOrdReuseFlushed(t *testing.T) {
 	r := &race{bh: bh, opt: Options{Measure: GHW}, cancel: cancel}
 	r.res.lower = lp.RI(1)
 
-	before := TelemetrySnapshot()
+	before := telemetry.Totals()
 	deepen(ctx, laneFor(t, "sat-ord", GHW), r)
-	after := TelemetrySnapshot()
+	after := telemetry.Totals()
 
 	if !r.res.exact || r.res.upper.Cmp(lp.RI(2)) != 0 {
 		t.Fatalf("sat-ord on grid3x3: exact=%v upper=%v, want exact ghw 2", r.res.exact, r.res.upper)
@@ -76,13 +77,13 @@ func TestSATOrdReuseFlushed(t *testing.T) {
 // TestSATOrdGateDisables checks the negative limit fully disables the
 // strategy (no solver calls land in the counters).
 func TestSATOrdGateDisables(t *testing.T) {
-	before := TelemetrySnapshot().SATSolves
+	before := telemetry.Totals().SATSolves
 	_, err := Solve(context.Background(), hypergraph.Grid(3, 3),
 		Options{Measure: GHW, SATOrdLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := TelemetrySnapshot().SATSolves - before; d != 0 {
+	if d := telemetry.Totals().SATSolves - before; d != 0 {
 		t.Errorf("SATSolves delta = %d with sat-ord disabled, want 0", d)
 	}
 }

@@ -241,9 +241,9 @@ func Solve(ctx context.Context, h *hypergraph.Hypergraph, opt Options) (*Result,
 //
 // When the context carries a telemetry.Trace (telemetry.WithTrace), the
 // pipeline records preprocessing stats, every strategy start/stop and
-// deepening step, and counter snapshots of what the engines and caches
-// did for this request; untraced requests run the exact same path with
-// nil sinks (pinned by TestSolveUntracedAllocs).
+// deepening step, and the counters of what the engines and caches did
+// for this request; untraced requests run the exact same path with a
+// nil trace (pinned by TestSolveUntracedAllocs).
 func (s *Solver) Solve(ctx context.Context, h *hypergraph.Hypergraph, opt Options) (*Result, error) {
 	res, err := s.doSolve(ctx, h, opt)
 	s.record(telemetry.FromContext(ctx), res, err)

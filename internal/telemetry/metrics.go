@@ -1,14 +1,15 @@
 // Package telemetry is the dependency-free measurement substrate of the
-// width service: a process-wide metrics registry (atomic counters,
-// gauges and fixed-bucket histograms with a Prometheus text-exposition
-// writer) and a per-request solve trace threaded through contexts.
+// width service: a process-wide metrics registry (atomic counters and
+// fixed-bucket histograms with a Prometheus text-exposition writer), a
+// per-request solve trace threaded through contexts, and Counters, the
+// solve counter block that Publish adds to both (counters.go).
 //
 // The package is built to be safe to leave in hot paths. Every metric
 // operation is a single atomic read-modify-write (plus one lock-free map
-// read for labeled counters) and allocates nothing; every method is a
-// no-op on a nil receiver, so call sites never need a "telemetry
-// enabled?" branch — a component constructed without a sink simply holds
-// nils. Traces follow the same discipline: telemetry.FromContext returns
+// read for labeled counters; Publish takes one short lock per delta) and
+// allocates nothing; every method is a no-op on a nil receiver, so call
+// sites never need a "telemetry enabled?" branch — a component
+// constructed without a sink simply holds nils. Traces follow the same discipline: telemetry.FromContext returns
 // nil on untraced requests and every Trace method no-ops on nil, so the
 // untraced solve path is byte-for-byte the pre-telemetry one (pinned by
 // AllocsPerRun tests in internal/solve).
@@ -180,74 +181,6 @@ func (v *CounterVec) write(w io.Writer) {
 	for _, k := range keys {
 		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, k, vals[k])
 	}
-}
-
-// Gauge is a settable int64 value. Safe for concurrent use; no-op on
-// nil.
-type Gauge struct {
-	name string
-	help string
-	v    atomic.Int64
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-func (g *Gauge) metricName() string { return g.name }
-
-func (g *Gauge) write(w io.Writer) {
-	writeHeader(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %d\n", g.name, g.v.Load())
-}
-
-// GaugeFunc exposes a value read at exposition time — for values some
-// other structure already owns (queue depths, cache sizes).
-type GaugeFunc struct {
-	name string
-	help string
-	fn   func() int64
-}
-
-// NewGaugeFunc registers a gauge whose value is fn() at scrape time.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() int64) *GaugeFunc {
-	g := &GaugeFunc{name: name, help: help, fn: fn}
-	r.register(g)
-	return g
-}
-
-func (g *GaugeFunc) metricName() string { return g.name }
-
-func (g *GaugeFunc) write(w io.Writer) {
-	writeHeader(w, g.name, g.help, "gauge")
-	fmt.Fprintf(w, "%s %d\n", g.name, g.fn())
 }
 
 // Histogram is a fixed-bucket histogram over float64 observations

@@ -23,22 +23,6 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	g := r.NewGauge("t_gauge", "a test gauge")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("Value = %d, want 7", got)
-	}
-	var nilG *Gauge
-	nilG.Set(5)
-	nilG.Add(1)
-	if nilG.Value() != 0 {
-		t.Fatal("nil gauge must read 0")
-	}
-}
-
 func TestCounterVec(t *testing.T) {
 	r := NewRegistry()
 	v := r.NewCounterVec("t_wins_total", "wins", "strategy")
@@ -119,9 +103,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	v := r.NewCounterVec("hg_test_wins_total", "wins by strategy", "strategy")
 	v.With("b").Inc()
 	v.With("a").Add(2)
-	g := r.NewGauge("hg_test_gauge", "")
-	g.Set(-4)
-	r.NewGaugeFunc("hg_test_fn", "computed", func() int64 { return 42 })
 
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
@@ -133,9 +114,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"# TYPE hg_test_wins_total counter",
 		`hg_test_wins_total{strategy="a"} 2`,
 		`hg_test_wins_total{strategy="b"} 1`,
-		"# TYPE hg_test_gauge gauge",
-		"hg_test_gauge -4",
-		"hg_test_fn 42",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -164,7 +142,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("cc_total", "")
 	v := r.NewCounterVec("cv_total", "", "l")
-	g := r.NewGauge("cg", "")
 	h := r.NewHistogram("ch_seconds", "", []float64{1, 10})
 
 	const workers, per = 8, 1000
@@ -177,7 +154,6 @@ func TestConcurrentIncrements(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				v.With(lbl).Inc()
-				g.Add(1)
 				h.Observe(float64(i % 20))
 			}
 		}(w)
@@ -190,9 +166,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	if vals["a"]+vals["b"] != workers*per {
 		t.Fatalf("vec sum = %d, want %d", vals["a"]+vals["b"], workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Fatalf("gauge = %d, want %d", g.Value(), workers*per)
-	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
 	}
@@ -204,7 +177,6 @@ func TestMetricOpsZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("za_total", "")
 	v := r.NewCounterVec("zv_total", "", "l")
-	g := r.NewGauge("zg", "")
 	h := r.NewHistogram("zh_seconds", "", nil)
 	v.With("warm") // label slot pre-created; steady state is lookup only
 	var nc *Counter
@@ -212,7 +184,6 @@ func TestMetricOpsZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		v.With("warm").Add(2)
-		g.Set(3)
 		h.Observe(0.02)
 		nc.Inc()
 		nh.Observe(1)

@@ -5,9 +5,9 @@ package telemetry
 // and carried through the solve pipeline in the request context.
 // Producers (internal/solve) record preprocessing stats, each portfolio
 // strategy's start/stop with wall time, every iterative-deepening
-// k-step, cache lookups, and — on completion — a snapshot of the engine
-// memo, DynComponents, cover-LP and basis-cache counters their request
-// actually incurred. Consumers render it three ways: hgserve embeds the
+// k-step, cache lookups, and — through Publish — the engine, cover-LP,
+// SAT, approximation and cache Counters their request actually
+// incurred. Consumers render it three ways: hgserve embeds the
 // Summary in /width and /decompose responses under ?trace=1 and in its
 // access log, hgwidth -stats prints it through WriteText, and the
 // corpus runner appends the counters and k-trajectory to its JSONL
@@ -60,74 +60,6 @@ type Event struct {
 	Detail   string  `json:"detail,omitempty"`
 }
 
-// Counters is the per-request aggregate snapshot: what the solve's
-// engine runs, cover LPs and caches did, summed over every strategy and
-// block of the request. Field groups mirror the process-wide metrics
-// (OBSERVABILITY.md): engine memo behavior, DynComponents reuse, cover-LP
-// path mix (float-first or cold rational), and the basis- and
-// result-cache hit/miss pairs.
-type Counters struct {
-	EngineSubproblems int64 `json:"engine_subproblems,omitempty"`
-	EngineMemoHits    int64 `json:"engine_memo_hits,omitempty"`
-	DynResets         int64 `json:"dyn_resets,omitempty"`
-	DynSeeded         int64 `json:"dyn_seeded,omitempty"`
-
-	LPSolves int64 `json:"lp_solves,omitempty"`
-	LPCold   int64 `json:"lp_cold,omitempty"`
-	LPFloat  int64 `json:"lp_float,omitempty"`
-
-	BasisHits      int64 `json:"basis_hits,omitempty"`
-	BasisMisses    int64 `json:"basis_misses,omitempty"`
-	BasisEvictions int64 `json:"basis_evictions,omitempty"`
-
-	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
-	ResultCacheMisses int64 `json:"result_cache_misses,omitempty"`
-
-	SATSolves       int64 `json:"sat_solves,omitempty"`
-	SATConflicts    int64 `json:"sat_conflicts,omitempty"`
-	SATPropagations int64 `json:"sat_propagations,omitempty"`
-	SATLearned      int64 `json:"sat_learned,omitempty"`
-	SATRestarts     int64 `json:"sat_restarts,omitempty"`
-	SATReuseHits    int64 `json:"sat_reuse_hits,omitempty"`
-	SATBlocked      int64 `json:"sat_blocked,omitempty"`
-	SATPricedBags   int64 `json:"sat_priced_bags,omitempty"`
-	SATRebuilds     int64 `json:"sat_rebuilds,omitempty"`
-
-	ApproxRuns          int64 `json:"approx_runs,omitempty"`
-	ApproxSepRetries    int64 `json:"approx_sep_retries,omitempty"`
-	ApproxImprovePasses int64 `json:"approx_improve_passes,omitempty"`
-	ApproxImproved      int64 `json:"approx_improved,omitempty"`
-}
-
-// add accumulates o into c.
-func (c *Counters) add(o Counters) {
-	c.EngineSubproblems += o.EngineSubproblems
-	c.EngineMemoHits += o.EngineMemoHits
-	c.DynResets += o.DynResets
-	c.DynSeeded += o.DynSeeded
-	c.LPSolves += o.LPSolves
-	c.LPCold += o.LPCold
-	c.LPFloat += o.LPFloat
-	c.BasisHits += o.BasisHits
-	c.BasisMisses += o.BasisMisses
-	c.BasisEvictions += o.BasisEvictions
-	c.ResultCacheHits += o.ResultCacheHits
-	c.ResultCacheMisses += o.ResultCacheMisses
-	c.SATSolves += o.SATSolves
-	c.SATConflicts += o.SATConflicts
-	c.SATPropagations += o.SATPropagations
-	c.SATLearned += o.SATLearned
-	c.SATRestarts += o.SATRestarts
-	c.SATReuseHits += o.SATReuseHits
-	c.SATBlocked += o.SATBlocked
-	c.SATPricedBags += o.SATPricedBags
-	c.SATRebuilds += o.SATRebuilds
-	c.ApproxRuns += o.ApproxRuns
-	c.ApproxSepRetries += o.ApproxSepRetries
-	c.ApproxImprovePasses += o.ApproxImprovePasses
-	c.ApproxImproved += o.ApproxImproved
-}
-
 // Trace is one request's event log. Construct with NewTrace (or
 // WithTrace); the zero value is not usable, but a nil *Trace is — every
 // method no-ops on it.
@@ -175,8 +107,9 @@ func (t *Trace) Deepen(block int, strategy string, k int) {
 	t.append(Event{Kind: "deepen", Strategy: strategy, Block: block, K: k})
 }
 
-// AddCounters folds a counter delta into the request aggregate.
-func (t *Trace) AddCounters(c Counters) {
+// addCounters folds a counter delta into the request aggregate; the
+// producers' entry point is Publish.
+func (t *Trace) addCounters(c Counters) {
 	if t == nil {
 		return
 	}
@@ -262,8 +195,8 @@ func (s *Summary) WriteText(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	c := s.Counters
-	fmt.Fprintf(w, "  engine: subproblems=%d memo_hits=%d dyn_resets=%d dyn_seeded=%d\n",
-		c.EngineSubproblems, c.EngineMemoHits, c.DynResets, c.DynSeeded)
+	fmt.Fprintf(w, "  engine: runs=%d subproblems=%d memo_hits=%d dyn_resets=%d dyn_seeded=%d\n",
+		c.EngineRuns, c.EngineSubproblems, c.EngineMemoHits, c.DynResets, c.DynSeeded)
 	fmt.Fprintf(w, "  lp: solves=%d float=%d cold=%d\n", c.LPSolves, c.LPFloat, c.LPCold)
 	fmt.Fprintf(w, "  caches: lp_pool=%d borrows (evict %d) result=%d/%d\n",
 		c.BasisMisses, c.BasisEvictions,

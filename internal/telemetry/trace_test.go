@@ -28,7 +28,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.StrategyStart(0, "detk")
 	tr.StrategyEnd(0, "detk", time.Millisecond, "winner")
 	tr.Deepen(0, "detk", 2)
-	tr.AddCounters(Counters{LPSolves: 3})
+	tr.addCounters(Counters{LPSolves: 3})
 	if s := tr.Summary(); s != nil {
 		t.Fatal("nil trace Summary must be nil")
 	}
@@ -47,8 +47,8 @@ func TestTraceEventsAndCounters(t *testing.T) {
 	tr.Deepen(1, "fhd-check", 3)
 	tr.Deepen(1, "bip", 2)
 	tr.StrategyEnd(1, "fhd-check", 5*time.Millisecond, "winner")
-	tr.AddCounters(Counters{LPSolves: 10, LPCold: 2, BasisHits: 4})
-	tr.AddCounters(Counters{LPSolves: 5, BasisMisses: 1})
+	tr.addCounters(Counters{LPSolves: 10, LPCold: 2, BasisHits: 4})
+	tr.addCounters(Counters{LPSolves: 5, BasisMisses: 1})
 
 	s := tr.Summary()
 	if len(s.Events) != 6 {
@@ -78,7 +78,7 @@ func TestSummaryJSONAndText(t *testing.T) {
 	tr.StrategyStart(0, "detk")
 	tr.Deepen(0, "detk", 3)
 	tr.StrategyEnd(0, "detk", 2*time.Millisecond, "winner")
-	tr.AddCounters(Counters{EngineSubproblems: 7, EngineMemoHits: 2})
+	tr.addCounters(Counters{EngineSubproblems: 7, EngineMemoHits: 2})
 	s := tr.Summary()
 
 	b, err := json.Marshal(s)
@@ -118,7 +118,7 @@ func TestTraceConcurrent(t *testing.T) {
 			for k := 1; k <= per; k++ {
 				tr.Deepen(0, name, k)
 			}
-			tr.AddCounters(Counters{LPSolves: per})
+			tr.addCounters(Counters{LPSolves: per})
 			tr.StrategyEnd(0, name, time.Microsecond, "done")
 		}(w)
 	}
