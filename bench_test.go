@@ -342,8 +342,8 @@ func BenchmarkLPCover(b *testing.B) {
 // union after each push, then walk the last stack slot through every
 // remaining edge (a pop+push+re-solve per sibling, the FHD oracle's
 // innermost move). The incremental leg drives one cover.Incremental
-// across the sequence; the one-shot leg builds each LP afresh with
-// cover.SolveCoverLP. Both solve float-first.
+// across the sequence; the one-shot leg builds each LP afresh in a new
+// cover.Incremental. Both solve float-first.
 func BenchmarkLPIncrementalVsOneShot(b *testing.B) {
 	k := hypergraph.Clique(8)
 	grow := k.NumEdges() / 2
@@ -351,11 +351,11 @@ func BenchmarkLPIncrementalVsOneShot(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stack := make([]int, 0, grow)
 			solve := func() {
-				union := hypergraph.NewVertexSet(k.NumVertices())
+				var ic cover.Incremental
 				for _, e := range stack {
-					union = union.UnionInPlace(k.Edge(e))
+					ic.Push(k.Edge(e))
 				}
-				if w, _ := cover.SolveCoverLP(k, stack, union); w == nil {
+				if ic.Solve() == nil {
 					b.Fatal("cover LP failed")
 				}
 			}

@@ -25,13 +25,15 @@
 // closure as a capped fallback), with the exact cover LPs memoized on
 // the interned support set; and Algorithm 3's frac-decomp oracle
 // guesses integral-plus-fractional parts with trimmed witness bags.
-// Those cover LPs are solved float-first (lp.FloatProblem): a float64
-// simplex proposes an optimum and its duals, rounded to rationals, and
-// an exact duality certificate in integer arithmetic accepts them. When
-// it fails the same LP is solved cold by internal/lp's two-phase
-// rational simplex (lp.Problem.Solve); cover.Incremental and
-// cover.TargetLP run both for the two covering-LP access patterns the
-// oracles produce, reusing their buffers across solves. The
+// Every cover LP is built in one place, internal/cover's unexported
+// coverLP, and solved float-first (lp.FloatProblem): a float64 simplex
+// proposes an optimum and its duals, rounded to rationals, and an exact
+// duality certificate in integer arithmetic accepts them. When it fails
+// the same LP is solved cold by internal/lp's two-phase rational
+// simplex (lp.Problem.Solve). cover.Incremental (a stack of atoms) and
+// cover.TargetLP (the edges meeting a target) only choose the rows for
+// the two access patterns the oracles produce, reusing their buffers
+// across solves; cover.FractionalEdgeCover runs it once. The
 // hypergraph core underneath is incidence-indexed: per-vertex edge
 // bitsets back edges(C), [C]-components and single-edge cover
 // detection; memo keys are interned integers; the exact-width DP and

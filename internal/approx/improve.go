@@ -24,9 +24,6 @@ type ImproveOptions struct {
 	// Integral re-prices with integral covers only, preserving GHDs;
 	// the default prices fractionally (preserves FHDs).
 	Integral bool
-	// MaxPasses caps the sweep count (0 = until fixpoint, with a
-	// defensive internal bound).
-	MaxPasses int
 	// OnImprove, when set, receives a private snapshot after every pass
 	// that strictly reduced the overall width — the anytime hook the
 	// portfolio publishes incumbents through.
@@ -55,17 +52,13 @@ const defaultMaxPasses = 64
 func Improve(ctx context.Context, h *hypergraph.Hypergraph, d *decomp.Decomp, opt ImproveOptions) (*decomp.Decomp, *ImproveStats, error) {
 	st := &ImproveStats{}
 	out := d.Clone()
-	maxPasses := opt.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = defaultMaxPasses
-	}
 	var tl *cover.TargetLP
 	if !opt.Integral {
 		tl = cover.NewTargetLP(h)
 		defer func() { st.LP = tl.Stats() }()
 	}
 	imp := &improver{h: h, opt: opt, tl: tl, st: st}
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < defaultMaxPasses; pass++ {
 		if err := ctx.Err(); err != nil {
 			return out, st, err
 		}

@@ -161,12 +161,6 @@ func New() *Solver {
 // NumVars returns the number of registered variables.
 func (s *Solver) NumVars() int { return s.nVars }
 
-// NumClauses returns the number of problem clauses retained.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
-
-// NumLearnts returns the number of learnt clauses currently retained.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
-
 // Stats returns the cumulative counters.
 func (s *Solver) Stats() Stats { return s.stats }
 

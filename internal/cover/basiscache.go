@@ -1,9 +1,9 @@
 package cover
 
 // basiscache.go — a byte-bounded free list of scratch Incremental
-// solvers. The FHD oracle borrows one per guesses invocation and
-// sat-ord's bag pricing one per priced bag; recycling them keeps their
-// LP buffers alive across borrows instead of allocating per subproblem.
+// solvers for the paper's Check(FHD,k). Its FHD oracle borrows one per
+// guesses invocation; recycling them keeps their LP buffers alive
+// across borrows instead of allocating per subproblem.
 
 // DefaultBasisCacheBytes bounds a BasisCache constructed with
 // NewBasisCache(0): 16 MiB, an eighth of solve.DefaultCacheBytes.
@@ -14,11 +14,13 @@ const DefaultBasisCacheBytes int64 = 16 << 20
 // solver returned to it. It is NOT safe for concurrent use; share one
 // only within a single deepening loop.
 //
-// The solvers keep no simplex basis: every solve builds its LP afresh.
-// The name, NewBasisCache, core.FHDOptions.Basis, the ordenc.NewFHWSearch
-// parameter and the basis trace counters remain only because the
-// repository benchmark (perfbench/) compiles against them or reads them;
-// they go with the benchmark's next revision.
+// Only Check(FHD,k) draws from it (through core.FHDOptions.Basis or a
+// private pool). The solvers keep no simplex basis: every solve builds
+// its LP afresh. The name, NewBasisCache, core.FHDOptions.Basis, the
+// ignored ordenc.NewFHWSearch parameter and the basis trace counters
+// remain only because the repository benchmark (perfbench/) compiles
+// against them or reads them; they go with the benchmark's next
+// revision.
 type BasisCache struct {
 	free  []*Incremental
 	bytes int64 // Σ approxBytes over free
@@ -60,8 +62,8 @@ func (bc *BasisCache) Get() *Incremental {
 // cache's, its stack is cleared, and it is pooled unless that would
 // push the pooled bytes past the budget.
 func (bc *BasisCache) Put(ic *Incremental) {
-	bc.lp.Add(ic.stats)
-	ic.stats = LPStats{}
+	bc.lp.Add(ic.lp.stats)
+	ic.lp.stats = LPStats{}
 	ic.stack = ic.stack[:0]
 	b := ic.approxBytes()
 	if bc.bytes+b > bc.max {

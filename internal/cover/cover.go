@@ -79,101 +79,15 @@ func (f Fractional) Clone() Fractional {
 	return c
 }
 
-// SolveCoverLP computes the minimum-weight fractional cover of target by
-// the given edges: min Σ_j x_j subject to Σ_{j : v ∈ e_j} x_j ≥ 1 for all
-// v ∈ target, x ≥ 0. It returns the optimal weight and the per-edge
-// weights aligned with edges, or nil, nil if some target vertex lies in
-// none of the edges.
-//
-// The LP is solved through its dual, max Σ_v y_v with Σ_{v ∈ e_j} y_v ≤ 1:
-// the ≤-form starts the simplex on a slack basis — no artificial
-// variables, no phase 1 — and the optimal x is read off the dual
-// values. It is solved float-first (lp.FloatProblem); when the exact
-// duality certificate fails, the rational simplex answers instead.
-func SolveCoverLP(h *hypergraph.Hypergraph, edges []int, target hypergraph.VertexSet) (*big.Rat, []*big.Rat) {
-	vs := target.Vertices()
-	if len(vs) == 0 {
-		return new(big.Rat), make([]*big.Rat, len(edges))
-	}
-	var fp lp.FloatProblem
-	fp.Reset(len(edges), len(vs))
-	for j := range vs {
-		fp.SetObjective(j, 1)
-	}
-	covered := make([]bool, len(vs))
-	for i, e := range edges {
-		es := h.Edge(e)
-		for idx, v := range vs {
-			if es.Has(v) {
-				fp.SetCoef(i, idx, 1)
-				covered[idx] = true
-			}
-		}
-		fp.SetRHS(i, 1)
-	}
-	for _, c := range covered {
-		if !c {
-			return nil, nil // uncoverable vertex: the dual is unbounded
-		}
-	}
-	if floatFirst && fp.Solve() {
-		x := make([]*big.Rat, len(edges))
-		for i := range x {
-			x[i] = fp.Dual(i, new(big.Rat))
-		}
-		return fp.Value(new(big.Rat)), x
-	}
-	return solveCoverRational(edgeSets(h, edges), vs)
-}
-
-// solveCoverRational is the exact fallback of every cover LP here: the
-// dual ≤-form, maximize Σ y_v over v ∈ vs subject to
-// Σ_{v ∈ rows[i]} y_v ≤ 1 per row, solved cold by the rational
-// simplex. It returns the optimum and the per-row cover weights (the
-// row duals), or nil, nil if some vertex of vs lies in no row.
-func solveCoverRational(rows []hypergraph.VertexSet, vs []int) (*big.Rat, []*big.Rat) {
-	one := lp.RI(1)
-	p := lp.NewProblem(len(vs))
-	p.Minimize = false
-	for j := range vs {
-		p.SetObjective(j, one)
-	}
-	coef := make([]*big.Rat, len(vs))
-	for _, r := range rows {
-		for idx, v := range vs {
-			if r.Has(v) {
-				coef[idx] = one
-			} else {
-				coef[idx] = nil
-			}
-		}
-		p.AddConstraint(coef, lp.LE, one)
-	}
-	s, err := p.Solve()
-	if err != nil || s.Status != lp.Optimal {
-		return nil, nil
-	}
-	return s.Value, s.RowDuals
-}
-
-// edgeSets returns the vertex sets of the given edges of h.
-func edgeSets(h *hypergraph.Hypergraph, edges []int) []hypergraph.VertexSet {
-	sets := make([]hypergraph.VertexSet, len(edges))
-	for i, e := range edges {
-		sets[i] = h.Edge(e)
-	}
-	return sets
-}
-
 // FractionalEdgeCover computes ρ*(target) in H: the minimum total weight
 // of an edge-weight function γ : E(H) → [0,1] with target ⊆ B(γ). It
 // returns the optimal weight and an optimal cover. If target cannot be
 // covered (some vertex in no edge) it returns nil, nil.
 //
 // Only edges intersecting target can help, so the LP uses those as
-// variables; the returned cover indexes edges of H. Because the LP is
-// solved exactly over rationals, threshold tests like ρ* ≤ k are decided
-// exactly.
+// variables; the returned cover indexes edges of H. The LP is solved by
+// a fresh TargetLP, whose answers are exact rationals, so threshold
+// tests like ρ* ≤ k are decided exactly.
 func FractionalEdgeCover(h *hypergraph.Hypergraph, target hypergraph.VertexSet) (*big.Rat, Fractional) {
 	if target.IsEmpty() {
 		return new(big.Rat), Fractional{}
@@ -183,21 +97,13 @@ func FractionalEdgeCover(h *hypergraph.Hypergraph, target hypergraph.VertexSet) 
 	if e := h.CoveringEdge(target); e >= 0 {
 		return lp.RI(1), Fractional{e: lp.RI(1)}
 	}
-	edges := h.EdgesIntersecting(target)
-	if len(edges) == 0 {
-		return nil, nil
-	}
-	w, x := SolveCoverLP(h, edges, target)
+	w, cover := NewTargetLP(h).Solve(target)
 	if w == nil {
 		return nil, nil
 	}
-	cover := Fractional{}
-	for j, e := range edges {
-		if x[j] != nil && x[j].Sign() > 0 {
-			cover[e] = x[j]
-		}
-	}
-	return w, cover
+	// Copy the optimum out so callers that keep it do not pin the
+	// solver's LP scratch.
+	return new(big.Rat).Set(w), cover
 }
 
 // RhoStar returns ρ*(H), the fractional edge cover number of the whole

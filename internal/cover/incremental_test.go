@@ -78,14 +78,23 @@ func primalCover(rows []hypergraph.VertexSet, vs []int) *big.Rat {
 	return s.Value
 }
 
+// edgeSets returns the vertex sets of the given edges of h.
+func edgeSets(h *hypergraph.Hypergraph, edges []int) []hypergraph.VertexSet {
+	sets := make([]hypergraph.VertexSet, len(edges))
+	for i, e := range edges {
+		sets[i] = h.Edge(e)
+	}
+	return sets
+}
+
 // rationalRho is ρ*(ws) by primalCover over the edges meeting ws.
 func rationalRho(h *hypergraph.Hypergraph, ws hypergraph.VertexSet) *big.Rat {
 	return primalCover(edgeSets(h, h.EdgesIntersecting(ws)), ws.Vertices())
 }
 
 // TestIncrementalMatchesSolveCoverLP walks a random DFS of atom stacks
-// and compares every solve against the primal-form rational cover LP of
-// the stacked atoms, on both solve paths.
+// and compares every solve against primalCover, the primal-form
+// rational cover LP of the stacked atoms, on both solve paths.
 func TestIncrementalMatchesSolveCoverLP(t *testing.T) {
 	eachPath(t, testIncrementalMatchesSolveCoverLP)
 }
@@ -174,7 +183,7 @@ func testIncrementalMatchesSolveCoverLP(t *testing.T, float bool) {
 			}
 		}
 		walk(3)
-		checkPathTaken(t, ic.stats, float, "DFS")
+		checkPathTaken(t, ic.lp.stats, float, "DFS")
 	}
 }
 

@@ -81,14 +81,5 @@ func (in *Interner) carve(s VertexSet) VertexSet {
 	return c
 }
 
-// ID returns the id of s, interning it if new.
-func (in *Interner) ID(s VertexSet) int {
-	id, _, _ := in.Intern(s)
-	return id
-}
-
 // Size returns the number of distinct sets interned so far.
 func (in *Interner) Size() int { return len(in.entries) }
-
-// PairKey packs two interned ids into one uint64 memo key.
-func PairKey(a, b int) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }

@@ -68,34 +68,6 @@ func (h *Hypergraph) MultiIntersectionWidth(c int) int {
 	return best
 }
 
-// PrimalGraph returns the primal (Gaifman) graph of H as a hypergraph
-// whose edges are the 2-element subsets {u,v} contained together in some
-// edge of H. Self-loops from singleton edges are omitted; singleton edges
-// contribute their vertex to the universe only.
-func (h *Hypergraph) PrimalGraph() *Hypergraph {
-	g := New()
-	g.vertexNames = append([]string(nil), h.vertexNames...)
-	g.vertexIndex = map[string]int{}
-	for n, i := range h.vertexIndex {
-		g.vertexIndex[n] = i
-	}
-	seen := map[[2]int]bool{}
-	for _, s := range h.edges {
-		vs := s.Vertices()
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				k := [2]int{vs[i], vs[j]}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				g.AddEdgeSet("", SetOf(vs[i], vs[j]))
-			}
-		}
-	}
-	return g
-}
-
 // AdjacencyMatrix returns for each vertex the set of its primal-graph
 // neighbours (excluding itself).
 func (h *Hypergraph) AdjacencyMatrix() []VertexSet {

@@ -4,8 +4,10 @@ package ordenc
 // elimination ordering and its fill-in arcs (no weight variables exist:
 // fractional covers are not usefully expressible in CNF); each decoded
 // bag is then priced exactly — ρ*(B), the fractional edge-cover number,
-// solved float-first with an exact certificate — by a cover.Incremental
-// borrowed from a cover.BasisCache. Orderings whose priced width exceeds the target
+// solved float-first with an exact certificate — by the search's one
+// cover.TargetLP. Each bag is priced once: ρ* and its optimal cover are
+// memoized together, and an accepted ordering's witness is built from
+// the memoized covers. Orderings whose priced width exceeds the target
 // are excised with blocking clauses over the offending vertex's arcs.
 //
 // Blocking clauses are threshold-specific (a bag too wide for k may be
@@ -38,63 +40,48 @@ type guardedBlock struct {
 	rho   *big.Rat // fractional cover number of the blocked bag
 }
 
+// pricedBag is a bag's ρ* and an optimal fractional cover of it.
+type pricedBag struct {
+	rho   *big.Rat
+	cover cover.Fractional
+}
+
 // FHWSearch is an incremental fhw oracle over one hypergraph: integer
 // feasibility levels via CheckLevel, then RefineBelow sweeps the upper
-// bound down to the exact fractional width.
+// bound down to the exact fractional width. Witnesses share the
+// memoized cover maps, so they are read-only.
 type FHWSearch struct {
 	h      *hypergraph.Hypergraph
 	enc    *encoder
-	basis  *cover.BasisCache
+	tl     *cover.TargetLP
 	blocks []guardedBlock
-	rho    map[string]*big.Rat // bag key → priced ρ*
+	priced map[string]pricedBag // bag key → ρ* and its cover
 	stats  Stats
 }
 
-// NewFHWSearch prepares the arcs-only encoding. basis may be nil (a
-// private pool is created); passing one pools the LP solvers, and
-// their counters, with a caller's loop.
-func NewFHWSearch(h *hypergraph.Hypergraph, basis *cover.BasisCache) (*FHWSearch, error) {
+// NewFHWSearch prepares the arcs-only encoding. The second parameter is
+// ignored: bags are priced by the search's own cover.TargetLP. It stays
+// only because the repository benchmark compiles against it.
+func NewFHWSearch(h *hypergraph.Hypergraph, _ *cover.BasisCache) (*FHWSearch, error) {
 	enc, err := newEncoder(h, false, 0)
 	if err != nil {
 		return nil, err
 	}
-	if basis == nil {
-		basis = cover.NewBasisCache(0)
-	}
-	return &FHWSearch{h: h, enc: enc, basis: basis, rho: make(map[string]*big.Rat)}, nil
+	return &FHWSearch{h: h, enc: enc, tl: cover.NewTargetLP(h), priced: make(map[string]pricedBag)}, nil
 }
 
-// price returns ρ*(bag), memoized, solved by a solver borrowed from the
-// pool.
-func (f *FHWSearch) price(bag hypergraph.VertexSet) *big.Rat {
+// price returns ρ*(bag) and an optimal cover, memoized. Every bag is
+// coverable: newEncoder rejects vertices in no edge.
+func (f *FHWSearch) price(bag hypergraph.VertexSet) pricedBag {
 	key := bag.Key()
-	if r, ok := f.rho[key]; ok {
-		return r
+	if p, ok := f.priced[key]; ok {
+		return p
 	}
 	f.stats.PricedBags++
-	ic := f.basis.Get()
-	for _, ei := range f.coveringEdges(bag) {
-		ic.Push(f.h.Edge(ei).Intersect(bag))
-	}
-	r := new(big.Rat).Set(ic.Solve())
-	f.basis.Put(ic)
-	f.rho[key] = r
-	return r
-}
-
-// coveringEdges lists the edges intersecting bag (the LP columns).
-func (f *FHWSearch) coveringEdges(bag hypergraph.VertexSet) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, v := range sortedVertices(bag) {
-		for _, ei := range f.enc.inc[v] {
-			if !seen[ei] {
-				seen[ei] = true
-				out = append(out, ei)
-			}
-		}
-	}
-	return out
+	w, g := f.tl.Solve(bag)
+	p := pricedBag{rho: new(big.Rat).Set(w), cover: g}
+	f.priced[key] = p
+	return p
 }
 
 // assumeBlocks returns the guard assumptions activating exactly the
@@ -161,27 +148,26 @@ func (f *FHWSearch) solveBelow(done <-chan struct{}, t *big.Rat, strict bool) (*
 		bags := e.bags()
 		width := new(big.Rat)
 		offending := 0
-		rhos := make([]*big.Rat, e.n)
+		priced := make([]pricedBag, e.n)
 		for i := 0; i < e.n; i++ {
-			rhos[i] = f.price(bags[i])
-			if rhos[i].Cmp(width) > 0 {
-				width = rhos[i]
+			priced[i] = f.price(bags[i])
+			if priced[i].rho.Cmp(width) > 0 {
+				width = priced[i].rho
 			}
 		}
-		for i := 0; i < e.n; i++ {
-			if c := rhos[i].Cmp(t); c > 0 || (strict && c == 0) {
-				assume = append(assume, -f.block(i, bags[i], rhos[i]))
+		for i, p := range priced {
+			if c := p.rho.Cmp(t); c > 0 || (strict && c == 0) {
+				assume = append(assume, -f.block(i, bags[i], p.rho))
 				offending++
 			}
 		}
 		if offending > 0 {
 			continue
 		}
-		// Accepted: assemble the witness with exact fractional covers.
+		// Accepted: the witness carries the memoized optimal covers.
 		covers := make([]cover.Fractional, e.n)
-		for i := 0; i < e.n; i++ {
-			_, cov := cover.FractionalEdgeCover(f.h, bags[i])
-			covers[i] = cov
+		for i, p := range priced {
+			covers[i] = p.cover
 		}
 		d := buildDecomp(f.h, order, bags, covers)
 		if err := d.ValidateWidth(decomp.FHD, width); err != nil {
@@ -208,8 +194,8 @@ func (f *FHWSearch) RefineBelow(done <-chan struct{}, w *big.Rat) (*decomp.Decom
 // Stats returns the accumulated solver and pricing statistics.
 func (f *FHWSearch) Stats() Stats { return f.stats }
 
-// Basis exposes the LP solver pool for telemetry flushing.
-func (f *FHWSearch) Basis() *cover.BasisCache { return f.basis }
+// LPStats returns the counters of the search's bag-pricing LPs.
+func (f *FHWSearch) LPStats() cover.LPStats { return f.tl.Stats() }
 
 // WriteDIMACS dumps the arcs-only clause database (without blocking
 // state) in DIMACS CNF for offline inspection.

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"hypertree/internal/cdcl"
 	"hypertree/internal/cover"
@@ -424,11 +423,4 @@ func (g *GHWSearch) WriteDIMACS(w io.Writer, k int) error {
 	return e.s.WriteDIMACSAssuming(w, e.assumeWidth(k),
 		fmt.Sprintf("ordenc ghw<=%d encoding: n=%d m=%d kCap=%d", k, e.n, e.m, e.kCap),
 		fmt.Sprintf("vars: ord(i,j) i<j, then arc(i,j) i!=j, then wt(i,e), then counters"))
-}
-
-// Sort order helper for deterministic bag pricing (fhw.go).
-func sortedVertices(b hypergraph.VertexSet) []int {
-	vs := b.Vertices()
-	sort.Ints(vs)
-	return vs
 }

@@ -44,8 +44,11 @@ func TestCacheHitPath(t *testing.T) {
 	if r2.Upper.Cmp(r1.Upper) != 0 || !r2.Exact {
 		t.Fatal("cached result differs from computed one")
 	}
-	// A renamed copy must hit too.
+	// A renamed copy must hit too. Its leading isolated vertex shifts
+	// every other vertex's index, so the witness translation runs
+	// through a vertex map that is not the identity.
 	renamed := hypergraph.New()
+	renamed.Vertex("isolated")
 	for e := 0; e < h.NumEdges(); e++ {
 		var names []string
 		h.Edge(e).ForEach(func(v int) bool {

@@ -64,13 +64,10 @@ func openSATOrdFHW(r *race) (levelCheck, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Retiring publishes the SAT counters and the solver pool's: every
-	// borrow counts as a basis-cache miss, and the pool has folded in
-	// the LP counters of every solver returned to it.
+	// Retiring publishes the SAT counters and the bag-pricing LP's.
 	flush := func() {
-		bs := s.Basis().Stats()
-		c := telemetry.Counters{BasisMisses: int64(bs.Borrows), BasisEvictions: int64(bs.Evictions)}
-		setLP(&c, s.Basis().LPStats())
+		var c telemetry.Counters
+		setLP(&c, s.LPStats())
 		setSAT(&c, s.Stats())
 		telemetry.Publish(r.tr, c)
 	}

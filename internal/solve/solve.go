@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/telemetry"
@@ -357,7 +356,10 @@ func adaptCached(e *entry, h *hypergraph.Hypergraph, relabel []int, opt Options)
 
 // translateWitness maps a decomposition of one hypergraph onto a
 // key-equal other one: canonical relabelings compose into a vertex map,
-// and key equality makes edge indices correspond one to one.
+// and key equality makes edge indices correspond one to one, so
+// decomp.Combine over that one part does the copy. The result shares
+// its cover maps with d; like every cached result (see Cache.Get) it is
+// read-only.
 func translateWitness(d *decomp.Decomp, fromRelabel []int, hTo *hypergraph.Hypergraph, toRelabel []int) (*decomp.Decomp, error) {
 	inv := make(map[int]int, len(toRelabel)) // canonical id → hTo vertex
 	for v, id := range toRelabel {
@@ -365,50 +367,26 @@ func translateWitness(d *decomp.Decomp, fromRelabel []int, hTo *hypergraph.Hyper
 			inv[id] = v
 		}
 	}
-	vmap := func(vFrom int) (int, bool) {
-		if vFrom >= len(fromRelabel) || fromRelabel[vFrom] < 0 {
-			return 0, false
+	vmap := make([]int, len(fromRelabel)) // d's vertex → hTo vertex, or -1
+	for v, id := range fromRelabel {
+		vmap[v] = -1
+		if vTo, ok := inv[id]; ok {
+			vmap[v] = vTo
 		}
-		vTo, ok := inv[fromRelabel[vFrom]]
-		return vTo, ok
 	}
-	out := decomp.New(hTo)
-	var rec func(u, parent int) error
-	rec = func(u, parent int) error {
-		node := &d.Nodes[u]
-		bag := hypergraph.NewVertexSet(hTo.NumVertices())
-		var bagErr error
-		node.Bag.ForEach(func(v int) bool {
-			vTo, ok := vmap(v)
-			if !ok {
-				bagErr = fmt.Errorf("solve: witness vertex %d has no counterpart", v)
-				return false
+	for _, n := range d.Nodes {
+		missing := -1
+		n.Bag.ForEach(func(v int) bool {
+			if v >= len(vmap) || vmap[v] < 0 {
+				missing = v
 			}
-			bag.Add(vTo)
-			return true
+			return missing < 0
 		})
-		if bagErr != nil {
-			return bagErr
+		if missing >= 0 {
+			return nil, fmt.Errorf("solve: witness vertex %d has no counterpart", missing)
 		}
-		cov := make(cover.Fractional, len(node.Cover))
-		for e, w := range node.Cover {
-			if e >= hTo.NumEdges() {
-				return fmt.Errorf("solve: witness edge %d out of range", e)
-			}
-			cov[e] = w
-		}
-		id := out.AddNode(parent, bag, cov)
-		for _, c := range node.Children {
-			if err := rec(c, id); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	if err := rec(d.Root, -1); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return decomp.Combine(hTo, []decomp.Part{{D: d, VertexMap: vmap}})
 }
 
 // solve is the uncached pipeline.

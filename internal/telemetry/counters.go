@@ -18,8 +18,10 @@ import (
 // strategy and block. A Trace holds one per request; the process holds
 // one total (Totals). Field groups follow the metric families
 // (OBSERVABILITY.md): engine memo behavior, DynComponents reuse,
-// cover-LP path mix (float-first or cold rational), the solver-pool and
-// result-cache pairs, sat-ord's CDCL work and the approximation ladder.
+// cover-LP path mix (float-first or cold rational), the result-cache
+// pair, sat-ord's CDCL work and the approximation ladder. BasisHits and
+// BasisMisses are never set; they stay only because the repository
+// benchmark compiles against them.
 type Counters struct {
 	EngineRuns        int64 `json:"engine_runs,omitempty"`
 	EngineSubproblems int64 `json:"engine_subproblems,omitempty"`
@@ -31,9 +33,8 @@ type Counters struct {
 	LPCold   int64 `json:"lp_cold,omitempty"`
 	LPFloat  int64 `json:"lp_float,omitempty"`
 
-	BasisHits      int64 `json:"basis_hits,omitempty"`
-	BasisMisses    int64 `json:"basis_misses,omitempty"`
-	BasisEvictions int64 `json:"basis_evictions,omitempty"`
+	BasisHits   int64 `json:"basis_hits,omitempty"`
+	BasisMisses int64 `json:"basis_misses,omitempty"`
 
 	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
 	ResultCacheMisses int64 `json:"result_cache_misses,omitempty"`
@@ -66,7 +67,6 @@ func (c *Counters) add(o Counters) {
 	c.LPFloat += o.LPFloat
 	c.BasisHits += o.BasisHits
 	c.BasisMisses += o.BasisMisses
-	c.BasisEvictions += o.BasisEvictions
 	c.ResultCacheHits += o.ResultCacheHits
 	c.ResultCacheMisses += o.ResultCacheMisses
 	c.SATSolves += o.SATSolves
@@ -117,8 +117,9 @@ type counterRow struct {
 }
 
 // counterRows is the /metrics view of the totals. Fields without a row
-// (lp_solves, basis_hits, approx_runs) are trace-only: approx_runs is
-// exposed per rung by a labelled family registered in internal/solve.
+// (lp_solves, basis_hits, basis_misses, approx_runs) are trace-only:
+// approx_runs is exposed per rung by a labelled family registered in
+// internal/solve.
 var counterRows = []counterRow{
 	{"hg_engine_runs_total", "", "cover-oracle engine runs (one per Check(·,k) invocation)", func(c *Counters) int64 { return c.EngineRuns }},
 	{"hg_engine_subproblems_total", "", "memoized subproblems computed by the engine", func(c *Counters) int64 { return c.EngineSubproblems }},
@@ -127,8 +128,6 @@ var counterRows = []counterRow{
 	{"hg_engine_dyn_seeded_total", "", "DynComponents resets seeded from the parent (base BFS skipped)", func(c *Counters) int64 { return c.DynSeeded }},
 	{"hg_result_cache_hits_total", "", "solves answered from the result cache (singleflight reuse included)", func(c *Counters) int64 { return c.ResultCacheHits }},
 	{"hg_result_cache_misses_total", "", "cache-enabled solves that had to compute", func(c *Counters) int64 { return c.ResultCacheMisses }},
-	{"hg_basis_cache_misses_total", "", "cover-LP solver borrows from the solver pool", func(c *Counters) int64 { return c.BasisMisses }},
-	{"hg_basis_cache_evictions_total", "", "returned cover-LP solvers dropped by the pool's byte budget", func(c *Counters) int64 { return c.BasisEvictions }},
 	{"hg_lp_solves_total", `path="cold"`, "cover-LP solves by path: float-first or cold rational", func(c *Counters) int64 { return c.LPCold }},
 	{"hg_lp_solves_total", `path="float"`, "", func(c *Counters) int64 { return c.LPFloat }},
 	{"hg_sat_solves_total", "", "CDCL solver calls issued by the sat-ord strategy", func(c *Counters) int64 { return c.SATSolves }},

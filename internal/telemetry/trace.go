@@ -198,8 +198,7 @@ func (s *Summary) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "  engine: runs=%d subproblems=%d memo_hits=%d dyn_resets=%d dyn_seeded=%d\n",
 		c.EngineRuns, c.EngineSubproblems, c.EngineMemoHits, c.DynResets, c.DynSeeded)
 	fmt.Fprintf(w, "  lp: solves=%d float=%d cold=%d\n", c.LPSolves, c.LPFloat, c.LPCold)
-	fmt.Fprintf(w, "  caches: lp_pool=%d borrows (evict %d) result=%d/%d\n",
-		c.BasisMisses, c.BasisEvictions,
+	fmt.Fprintf(w, "  caches: result=%d/%d\n",
 		c.ResultCacheHits, c.ResultCacheHits+c.ResultCacheMisses)
 	if c.ApproxRuns > 0 || c.ApproxImprovePasses > 0 {
 		fmt.Fprintf(w, "  approx: runs=%d sep_retries=%d improve_passes=%d improved=%d\n",
