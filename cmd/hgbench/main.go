@@ -394,11 +394,11 @@ func e12() {
 	// Corpus-scale width study through internal/solve: the serial leg
 	// mimics the pre-solve path (no preprocessing, no cache, one
 	// instance at a time); the parallel leg runs the full pipeline
-	// through the corpus runner sharded across GOMAXPROCS, so its time
-	// also covers the runner's per-instance classification and trace.
+	// through the corpus runner's RunLoaded sharded across GOMAXPROCS,
+	// which adds no per-instance classification or trace.
 	ctx := context.Background()
 	budget := 5 * time.Second
-	serialSolver := solve.NewSolver(-1, 1)
+	serialSolver := solve.NewSolver(nil, 1)
 	serialOpt := solve.Options{Measure: solve.GHW, Timeout: budget, NoPreprocess: true}
 	serial := make([]*big.Rat, len(synth.Queries))
 	t0 := time.Now()
@@ -415,7 +415,7 @@ func e12() {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	t1 := time.Now()
-	par := corpus.RunLoaded(ctx, solve.NewSolver(0, 0), items,
+	par := corpus.RunLoaded(ctx, solve.NewSolver(solve.NewCache(0, 0), 0), items,
 		corpus.RunOptions{Measure: solve.GHW, Timeout: budget, Shards: workers}, nil)
 	tPar := time.Since(t1)
 

@@ -115,7 +115,7 @@ func runCorpus(argv []string, stdout, stderr io.Writer, resume bool) int {
 		nshards = runtime.GOMAXPROCS(0)
 	}
 	// Shards carry the parallelism; each solve runs its blocks serially.
-	solver := solve.NewSolver(*cacheSize, 1)
+	solver := solve.NewSolver(solve.NewCache(*cacheSize, 0), 1)
 	opt := corpus.RunOptions{
 		Measure:     m,
 		Timeout:     *timeout,

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -11,16 +9,15 @@ import (
 	"hypertree/internal/corpus"
 	"hypertree/internal/csp"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/solve"
 )
 
 // The /batch endpoint accepts many instances in one request and streams
 // one NDJSON line per instance as it finishes, interleaved with
 // progress lines — corpus-scale traffic without corpus-sized response
 // latency. Execution reuses the corpus runner's sharding; each
-// instance's solve still passes through the server's worker-pool
-// semaphore, so batches and single /width requests compete for the same
-// CPU under the same admission control.
+// instance's solve still takes its worker slot through acquire, so
+// batches and single /width requests compete for the same CPU under
+// the same admission control.
 
 // maxBatchInstances caps one request; a corpus larger than this is
 // split by the client (hgcorpus exists for the really big ones).
@@ -73,26 +70,13 @@ type batchDoneLine struct {
 	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
+// handleBatch runs behind admit: a batch occupies one admission slot,
+// and its instances then borrow worker slots one by one through
+// acquire, so a big batch cannot starve /width.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// A batch occupies one admission slot; its instances then borrow
-	// worker slots one by one, so a big batch cannot starve /width.
-	if s.admitted.Add(1) > int64(s.workers+s.queue) {
-		s.admitted.Add(-1)
-		s.rejected.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"server saturated"})
-		return
-	}
-	defer s.admitted.Add(-1)
-
 	var req batchRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{"bad JSON: " + err.Error()})
+	measure, budget, ok := s.decode(w, r, &req, &req.Measure, &req.TimeoutMS)
+	if !ok {
 		return
 	}
 	if len(req.Instances) == 0 {
@@ -104,18 +88,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds the %d-instance limit", len(req.Instances), maxBatchInstances)})
 		return
 	}
-	measure, err := solve.ParseMeasure(req.Measure)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-	budget := s.timeout
-	if req.TimeoutMS > 0 {
-		budget = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if budget <= 0 || budget > s.maxTimeout {
-		budget = s.maxTimeout
-	}
 
 	items := make([]corpus.Loaded, len(req.Instances))
 	for i, in := range req.Instances {
@@ -123,7 +95,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if name == "" {
 			name = fmt.Sprintf("instance-%d", i)
 		}
-		h, f, err := parseBatchInstance(in)
+		h, f, err := parseInstance(in)
 		items[i] = corpus.Loaded{Name: name, Format: f, H: h, Err: err}
 	}
 
@@ -178,20 +150,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeLine(batchProgressLine{Type: "progress", Done: emitted, Total: len(items), Errors: errCount})
 	}
 
-	opt := corpus.RunOptions{
-		Measure: measure,
-		Timeout: budget,
-		Shards:  s.workers,
-		Gate: func(ctx context.Context) (func(), error) {
-			select {
-			case s.sem <- struct{}{}:
-				s.inflight.Add(1)
-				return func() { s.inflight.Add(-1); <-s.sem }, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		},
-	}
+	opt := corpus.RunOptions{Measure: measure, Timeout: budget, Shards: s.workers, Gate: s.acquire}
 	corpus.RunLoaded(r.Context(), s.solver, items, opt, emit)
 
 	// Instances never started (client gone, context canceled) were not
@@ -200,9 +159,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeLine(batchDoneLine{Type: "done", Total: len(items), Errors: errCount, ElapsedMS: time.Since(start).Milliseconds()})
 }
 
-// parseBatchInstance builds one instance's hypergraph from whichever
-// input field is set, auto-detecting the hypergraph format.
-func parseBatchInstance(in batchInstance) (*hypergraph.Hypergraph, corpus.Format, error) {
+// parseInstance builds one instance's hypergraph, for /width and
+// /decompose as for each /batch instance, from whichever input field is
+// set, auto-detecting the hypergraph format.
+func parseInstance(in batchInstance) (*hypergraph.Hypergraph, corpus.Format, error) {
 	switch {
 	case in.Hypergraph != "" && in.Query != "":
 		return nil, corpus.FormatUnknown, fmt.Errorf(`give "hypergraph" or "query", not both`)

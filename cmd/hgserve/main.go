@@ -36,11 +36,16 @@
 // JSON line per solved request to stderr, with the trace summary; -pprof
 // mounts net/http/pprof under /debug/pprof/.
 //
-// At most -workers solves run concurrently (GOMAXPROCS by default); up
-// to -queue further requests wait for a slot, and anything beyond that
-// is shed with 503. A batch occupies one admission slot and its
-// instances borrow worker slots individually, sharded corpus-runner
-// style. SIGINT/SIGTERM drain in-flight requests before exit.
+// /width, /decompose and /batch share one request front: admission
+// control, the 8 MiB body cap (413 past it, 400 on malformed JSON),
+// measure parsing and the budget clamp (-timeout by default, never past
+// -max-timeout). At most -workers solves run concurrently (GOMAXPROCS
+// by default); up to -queue further requests wait for a slot, and
+// anything beyond that is shed with 503. A batch occupies one
+// admission slot; the corpus runner shards its instances, and each one
+// takes a worker slot through the same acquire as /width and is solved
+// the way /width solves it, through the same solver and cache.
+// SIGINT/SIGTERM drain in-flight requests before exit.
 package main
 
 import (
@@ -57,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"hypertree/internal/hypergraph"
 	"hypertree/internal/solve"
 	"hypertree/internal/telemetry"
 )
@@ -131,7 +135,7 @@ func newServer(workers, queue, cacheSize int, cacheBytes int64, timeout, maxTime
 		queue = 0
 	}
 	return &server{
-		solver:     solve.NewSolverWithCache(newCache(cacheSize, cacheBytes), workers),
+		solver:     solve.NewSolver(solve.NewCache(cacheSize, cacheBytes), workers),
 		sem:        make(chan struct{}, workers),
 		workers:    workers,
 		queue:      queue,
@@ -141,20 +145,11 @@ func newServer(workers, queue, cacheSize int, cacheBytes int64, timeout, maxTime
 	}
 }
 
-// newCache builds the result cache: entry- and byte-bounded, or nil
-// when caching is disabled with a negative size.
-func newCache(size int, bytes int64) *solve.Cache {
-	if size < 0 {
-		return nil
-	}
-	return solve.NewCacheBytes(size, bytes)
-}
-
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /width", s.handleSolve(false))
-	mux.HandleFunc("POST /decompose", s.handleSolve(true))
-	mux.HandleFunc("POST /batch", s.handleBatch)
+	mux.HandleFunc("POST /width", s.admit(s.handleSolve(false)))
+	mux.HandleFunc("POST /decompose", s.admit(s.handleSolve(true)))
+	mux.HandleFunc("POST /batch", s.admit(s.handleBatch))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.pprof {
@@ -213,11 +208,13 @@ type errorResponse struct {
 // client error or abuse.
 const maxBodyBytes = 8 << 20
 
-func (s *server) handleSolve(withWitness bool) http.HandlerFunc {
+// admit wraps the handler of a solving endpoint in admission control:
+// at most `workers` solves run and up to `queue` more requests wait for
+// a slot; the rest get 503. It runs first, so shed requests never pay
+// decode or parse cost, and an admitted request holds its place until
+// the handler returns.
+func (s *server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// Admission control first, so shed requests never pay decode or
-		// parse cost: at most `workers` solves run; up to `queue` more
-		// wait for a slot; the rest get 503.
 		if s.admitted.Add(1) > int64(s.workers+s.queue) {
 			s.admitted.Add(-1)
 			s.rejected.Add(1)
@@ -225,44 +222,73 @@ func (s *server) handleSolve(withWitness bool) http.HandlerFunc {
 			return
 		}
 		defer s.admitted.Add(-1)
+		h(w, r)
+	}
+}
 
+// decode reads the JSON body of a solving endpoint into req, capped at
+// maxBodyBytes (413 past it, 400 when malformed), then parses the
+// measure and clamps the budget from the request fields that measure
+// and timeoutMS point to: the server's -timeout by default, never past
+// -max-timeout. On failure it writes the error response and returns
+// ok=false.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, req any, measure *string, timeoutMS *int) (m solve.Measure, budget time.Duration, ok bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{"bad JSON: " + err.Error()})
+		return 0, 0, false
+	}
+	m, err := solve.ParseMeasure(*measure)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		return 0, 0, false
+	}
+	budget = s.timeout
+	if *timeoutMS > 0 {
+		budget = time.Duration(*timeoutMS) * time.Millisecond
+	}
+	if budget <= 0 || budget > s.maxTimeout {
+		budget = s.maxTimeout
+	}
+	return m, budget, true
+}
+
+// acquire takes a worker slot for one solve, waiting while every slot
+// is busy, and returns the func that frees it. It fails with the
+// context's error when ctx ends first. /width and /decompose call it
+// directly; /batch passes it to the corpus runner as its gate.
+func (s *server) acquire(ctx context.Context) (release func(), err error) {
+	select {
+	case s.sem <- struct{}{}:
+		s.inflight.Add(1)
+		return func() { s.inflight.Add(-1); <-s.sem }, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (s *server) handleSolve(withWitness bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		var req widthRequest
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeJSON(w, status, errorResponse{"bad JSON: " + err.Error()})
+		measure, budget, ok := s.decode(w, r, &req, &req.Measure, &req.TimeoutMS)
+		if !ok {
 			return
 		}
-		h, err := parseInput(req)
+		h, _, err := parseInstance(batchInstance{Hypergraph: req.Hypergraph, Query: req.Query})
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 			return
 		}
-		measure, err := solve.ParseMeasure(req.Measure)
+		release, err := s.acquire(r.Context())
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-			return
-		}
-		budget := s.timeout
-		if req.TimeoutMS > 0 {
-			budget = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
-		if budget <= 0 || budget > s.maxTimeout {
-			budget = s.maxTimeout
-		}
-
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-r.Context().Done():
 			return // client gave up while queued
 		}
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
+		defer release()
 
 		// Trace when the client asked (?trace=1 embeds the summary in the
 		// response) or when the access log wants per-request summaries.
@@ -341,13 +367,6 @@ func (s *server) handleSolve(withWitness bool) http.HandlerFunc {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
-}
-
-// parseInput builds the hypergraph from whichever input field is set,
-// sharing the dispatch (and format auto-detection) with /batch.
-func parseInput(req widthRequest) (*hypergraph.Hypergraph, error) {
-	h, _, err := parseBatchInstance(batchInstance{Hypergraph: req.Hypergraph, Query: req.Query})
-	return h, err
 }
 
 type healthzResponse struct {

@@ -86,7 +86,7 @@ func TestRunGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "results.jsonl")
-	solver := solve.NewSolver(0, 1)
+	solver := solve.NewSolver(solve.NewCache(0, 0), 1)
 	report, err := Run(context.Background(), solver, instances, RunOptions{
 		Measure:     solve.GHW,
 		Timeout:     time.Minute,
@@ -135,7 +135,7 @@ func TestRunResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "results.jsonl")
-	solver := solve.NewSolver(0, 1)
+	solver := solve.NewSolver(solve.NewCache(0, 0), 1)
 	opt := RunOptions{Measure: solve.GHW, Timeout: time.Minute, Shards: 2, ResultsPath: out}
 
 	// First run: only a prefix of the corpus, simulating a killed run.
@@ -229,7 +229,7 @@ func TestResumeCrossFormatTwin(t *testing.T) {
 	tri := Instance{Name: "triangle", Path: filepath.Join(testCorpusDir, "triangle.hg"), Format: FormatEdgeList}
 	k3 := Instance{Name: "k3_pace", Path: filepath.Join(testCorpusDir, "k3_pace.htd"), Format: FormatPACE}
 	out := filepath.Join(t.TempDir(), "results.jsonl")
-	solver := solve.NewSolver(0, 1)
+	solver := solve.NewSolver(solve.NewCache(0, 0), 1)
 	opt := RunOptions{Measure: solve.GHW, Timeout: time.Minute, ResultsPath: out}
 	if _, err := Run(context.Background(), solver, []Instance{tri}, opt); err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(dir, "gone.hg")
-	solver := solve.NewSolver(-1, 1)
+	solver := solve.NewSolver(nil, 1)
 	report, err := Run(context.Background(), solver, []Instance{
 		{Name: "bad", Path: bad, Format: FormatEdgeList},
 		{Name: "gone", Path: missing, Format: FormatEdgeList},
@@ -302,7 +302,7 @@ func TestRunLoadedGate(t *testing.T) {
 			}, nil
 		},
 	}
-	results := RunLoaded(context.Background(), solve.NewSolver(-1, 1), items, opt, nil)
+	results := RunLoaded(context.Background(), solve.NewSolver(nil, 1), items, opt, nil)
 	if mu.acq != 3 || mu.rel != 3 {
 		t.Fatalf("gate acquired %d, released %d", mu.acq, mu.rel)
 	}
@@ -320,7 +320,7 @@ func TestRunLoadedCancel(t *testing.T) {
 	cancel()
 	items := []Loaded{{Name: "a", H: hypergraph.Cycle(5)}, {Name: "b", H: hypergraph.Cycle(6)}}
 	emitted := 0
-	results := RunLoaded(ctx, solve.NewSolver(-1, 1), items, RunOptions{Measure: solve.GHW}, func(InstanceResult) { emitted++ })
+	results := RunLoaded(ctx, solve.NewSolver(nil, 1), items, RunOptions{Measure: solve.GHW}, func(InstanceResult) { emitted++ })
 	if emitted != 0 {
 		t.Fatalf("emitted %d results on dead context", emitted)
 	}

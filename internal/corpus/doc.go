@@ -37,6 +37,12 @@
 // snapshot (OBSERVABILITY.md) — as optional fields old logs lack and
 // resume ignores.
 //
-// cmd/hgcorpus drives the runner from the command line; cmd/hgserve
-// reuses RunLoaded for its streaming /batch endpoint.
+// RunLoaded runs instances already decoded in memory through the same
+// sharded loop, with the same completion and Progress bookkeeping, but
+// records only what its callers read: each instance's size, time and
+// bounds, from an untraced solve behind the caller's Gate. It computes
+// no fingerprint or classification and writes no log.
+//
+// cmd/hgcorpus drives Run from the command line; cmd/hgserve's
+// streaming /batch endpoint and hgbench's E12 use RunLoaded.
 package corpus

@@ -22,7 +22,7 @@ func TestRunZeroIntervalLessRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := solve.NewSolver(-1, 1)
+	solver := solve.NewSolver(nil, 1)
 	report, err := Run(context.Background(), solver, instances, RunOptions{
 		Measure: solve.FHW,
 		Timeout: time.Millisecond,

@@ -111,8 +111,8 @@ type RunOptions struct {
 	// Resume skips instances whose fingerprint already has an exact
 	// result in the log and appends to it instead of truncating.
 	Resume bool
-	// Gate, when set, is invoked before each instance's solve; the solve
-	// waits until it returns and its release func runs afterwards.
+	// Gate, when set, is invoked before each of RunLoaded's solves; the
+	// solve waits until it returns and its release func runs afterwards.
 	// hgserve uses this to charge batch instances to its worker pool.
 	Gate func(ctx context.Context) (release func(), err error)
 	// Progress, when set, is called after each instance completes (or is
@@ -121,15 +121,19 @@ type RunOptions struct {
 	Progress func(done, total int, r InstanceResult)
 }
 
-// runShards distributes indices 0..n-1 over up to `shards` workers
-// (≤ 0 runs serially) and waits for all of them.
-func runShards(n, shards int, process func(i int)) {
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
+// runShards distributes instances 0..n-1 over up to opt.Shards workers
+// (≤ 0 runs serially), waits for all of them and returns the results
+// in input order. An instance a worker reaches after ctx ends gets the
+// context error under its name and is not completed. Every other
+// instance's result from process completes under one lock, in
+// completion order: emit (when set) sees it, then the completion count
+// advances and opt.Progress sees it.
+func runShards(ctx context.Context, n int, opt RunOptions, name func(i int) string,
+	process func(i int) InstanceResult, emit func(InstanceResult)) []InstanceResult {
+	results := make([]InstanceResult, n)
+	shards := max(1, min(opt.Shards, n))
+	var mu sync.Mutex
+	done := 0
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
@@ -137,7 +141,21 @@ func runShards(n, shards int, process func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				process(i)
+				if err := ctx.Err(); err != nil {
+					results[i] = InstanceResult{Name: name(i), Err: err.Error()}
+					continue
+				}
+				r := process(i)
+				results[i] = r
+				mu.Lock()
+				if emit != nil {
+					emit(r)
+				}
+				done++
+				if opt.Progress != nil {
+					opt.Progress(done, n, r)
+				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -146,74 +164,34 @@ func runShards(n, shards int, process func(i int)) {
 	}
 	close(work)
 	wg.Wait()
-}
-
-// RunLoaded shards items over opt.Shards parallel workers and solves
-// each through solver under the per-instance budget. emit (optional) is
-// called serially with each finished result in completion order; the
-// returned slice is in input order. Instances that fail to load or
-// solve produce error results; a canceled context stops the run early,
-// marking unstarted instances with the context error without emitting
-// them.
-func RunLoaded(ctx context.Context, solver *solve.Solver, items []Loaded, opt RunOptions, emit func(InstanceResult)) []InstanceResult {
-	results := make([]InstanceResult, len(items))
-	var emitMu sync.Mutex
-	done := 0
-	finish := func(i int, r InstanceResult, send bool) {
-		results[i] = r
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		done++
-		if send && emit != nil {
-			emit(r)
-		}
-		if opt.Progress != nil {
-			opt.Progress(done, len(items), r)
-		}
-	}
-	runShards(len(items), opt.Shards, func(i int) {
-		if err := ctx.Err(); err != nil {
-			finish(i, InstanceResult{Name: items[i].Name, Err: err.Error()}, false)
-			return
-		}
-		finish(i, solveOne(ctx, solver, items[i], opt), true)
-	})
 	return results
 }
 
-// solveOne executes a single instance: gate, classification, solve.
-// The gate comes first so that everything CPU-bound — including the
-// canonical fingerprint and the branch-and-bound classification —
-// is charged to the caller's admission control, not run on top of it.
-func solveOne(ctx context.Context, solver *solve.Solver, it Loaded, opt RunOptions) InstanceResult {
-	r := InstanceResult{Name: it.Name, Measure: opt.Measure.String()}
-	if it.Format != FormatUnknown {
-		r.Format = it.Format.String()
+// newResult starts an instance's record: name, format, measure and
+// load error.
+func newResult(name string, f Format, err error, opt RunOptions) InstanceResult {
+	r := InstanceResult{Name: name, Measure: opt.Measure.String()}
+	if f != FormatUnknown {
+		r.Format = f.String()
 	}
-	if it.Err != nil {
-		r.Err = it.Err.Error()
-		return r
+	if err != nil {
+		r.Err = err.Error()
 	}
-	if opt.Gate != nil {
-		release, err := opt.Gate(ctx)
-		if err != nil {
-			r.Err = err.Error()
-			return r
-		}
-		defer release()
-	}
-	h := it.H
-	r.Fingerprint = Fingerprint(h)
+	return r
+}
+
+// solveInto solves h through solver under the per-instance budget and
+// records its size, time and bounds in r. It returns the solve result,
+// nil when the solve failed (r.Err says why).
+func solveInto(ctx context.Context, solver *solve.Solver, h *hypergraph.Hypergraph, opt RunOptions, r *InstanceResult) *solve.Result {
 	r.Vertices = h.NumVertices()
 	r.Edges = h.NumEdges()
-	r.Classes = Classify(h)
-	sctx, tr := telemetry.WithTrace(ctx)
 	start := time.Now()
-	res, err := solver.Solve(sctx, h, solve.Options{Measure: opt.Measure, Timeout: opt.Timeout})
+	res, err := solver.Solve(ctx, h, solve.Options{Measure: opt.Measure, Timeout: opt.Timeout})
 	r.ElapsedMS = time.Since(start).Milliseconds()
 	if err != nil {
 		r.Err = err.Error()
-		return r
+		return nil
 	}
 	if res.Lower != nil {
 		r.Lower = res.Lower.RatString()
@@ -227,13 +205,37 @@ func solveOne(ctx context.Context, solver *solve.Solver, it Loaded, opt RunOptio
 	r.Strategy = res.Strategy
 	r.Provenance = string(res.Provenance)
 	r.Blocks = res.Pre.Blocks
-	if sum := tr.Summary(); !res.FromCache {
-		r.KTrajectory = sum.KTrajectory(res.Strategy)
-		if c := sum.Counters; c != (telemetry.Counters{}) {
-			r.Telemetry = &c
+	return res
+}
+
+// RunLoaded shards items over opt.Shards parallel workers and solves
+// each through solver under the per-instance budget, after opt.Gate
+// when set. It records only what its callers read: size, time and
+// bounds, with no fingerprint, classification or trace. emit
+// (optional) is called serially with each finished result in
+// completion order; the returned slice is in input order. Instances
+// that fail to load or solve produce error results; a canceled context
+// stops the run early, marking unstarted instances with the context
+// error without emitting them.
+func RunLoaded(ctx context.Context, solver *solve.Solver, items []Loaded, opt RunOptions, emit func(InstanceResult)) []InstanceResult {
+	name := func(i int) string { return items[i].Name }
+	return runShards(ctx, len(items), opt, name, func(i int) InstanceResult {
+		it := items[i]
+		r := newResult(it.Name, it.Format, it.Err, opt)
+		if it.Err != nil {
+			return r
 		}
-	}
-	return r
+		if opt.Gate != nil {
+			release, err := opt.Gate(ctx)
+			if err != nil {
+				r.Err = err.Error()
+				return r
+			}
+			defer release()
+		}
+		solveInto(ctx, solver, it.H, opt, &r)
+		return r
+	}, emit)
 }
 
 // resumeKey keys the skip set: same measure, same canonical instance.
@@ -242,11 +244,11 @@ func resumeKey(measure, fingerprint string) string { return measure + "|" + fing
 // Run executes a full corpus run: shard the instances over parallel
 // workers, and in each worker decode the instance, skip it if its
 // canonical fingerprint is already solved exactly in the results log
-// (when resuming), solve it otherwise, and append one JSON line per
-// finished instance to the log. Decoding happens inside the shards, so
-// startup cost and peak memory stay independent of corpus size. The
-// returned report covers all instances in input order, including
-// resumed ones (marked Resumed).
+// (when resuming), classify and solve it otherwise under a trace, and
+// append one JSON line per finished instance to the log. Decoding
+// happens inside the shards, so startup cost and peak memory stay
+// independent of corpus size. The returned report covers all instances
+// in input order, including resumed ones (marked Resumed).
 func Run(ctx context.Context, solver *solve.Solver, instances []Instance, opt RunOptions) (*Report, error) {
 	prior := map[string]InstanceResult{}
 	loggedNames := map[string]bool{}
@@ -286,16 +288,21 @@ func Run(ctx context.Context, solver *solve.Solver, instances []Instance, opt Ru
 			}
 		}
 	}
-
-	results := make([]InstanceResult, len(instances))
-	total := len(instances)
-	done := 0
-	// emitMu serializes log writes, the loggedNames set, the completion
-	// counter and the Progress callback across shards.
-	var emitMu sync.Mutex
-	writeLine := func(r InstanceResult) {
+	// logLine runs under runShards' completion lock, which also guards
+	// loggedNames.
+	logLine := func(r InstanceResult) {
 		if logFile == nil {
 			return
+		}
+		// A twin resumed under a name the log has already seen is not
+		// logged again; one resumed under a new name still gets its own
+		// record, so the finished log is complete on its own (hgcorpus
+		// stats over it sees every instance).
+		if r.Resumed {
+			if loggedNames[r.Name] {
+				return
+			}
+			loggedNames[r.Name] = true
 		}
 		// One Write call per line: a killed run leaves at most one
 		// partial trailing line, which ReadResults tolerates.
@@ -303,50 +310,32 @@ func Run(ctx context.Context, solver *solve.Solver, instances []Instance, opt Ru
 			logFile.Write(append(b, '\n'))
 		}
 	}
-	finish := func(i int, r InstanceResult, log bool) {
-		results[i] = r
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if log {
-			writeLine(r)
-		}
-		done++
-		if opt.Progress != nil {
-			opt.Progress(done, total, r)
-		}
-	}
 
-	runShards(total, opt.Shards, func(i int) {
+	name := func(i int) string { return instances[i].Name }
+	results := runShards(ctx, len(instances), opt, name, func(i int) InstanceResult {
 		in := instances[i]
-		if err := ctx.Err(); err != nil {
-			results[i] = InstanceResult{Name: in.Name, Err: err.Error()}
-			return
-		}
 		h, f, err := in.Read()
-		it := Loaded{Name: in.Name, Format: f, H: h, Err: err}
-		if err == nil {
-			if p, ok := prior[resumeKey(opt.Measure.String(), Fingerprint(h))]; ok {
-				p.Name = in.Name // fingerprint match may come from a renamed twin
-				p.Resumed = true
-				results[i] = p
-				emitMu.Lock()
-				// A twin resumed under a name the log has never seen still
-				// gets its own record, so the finished log is complete on
-				// its own (hgcorpus stats over it sees every instance).
-				if logFile != nil && !loggedNames[in.Name] {
-					loggedNames[in.Name] = true
-					writeLine(p)
-				}
-				done++
-				if opt.Progress != nil {
-					opt.Progress(done, total, p)
-				}
-				emitMu.Unlock()
-				return
+		r := newResult(in.Name, f, err, opt)
+		if err != nil {
+			return r
+		}
+		r.Fingerprint = Fingerprint(h)
+		if p, ok := prior[resumeKey(r.Measure, r.Fingerprint)]; ok {
+			p.Name = in.Name // fingerprint match may come from a renamed twin
+			p.Resumed = true
+			return p
+		}
+		r.Classes = Classify(h)
+		sctx, tr := telemetry.WithTrace(ctx)
+		if res := solveInto(sctx, solver, h, opt, &r); res != nil && !res.FromCache {
+			sum := tr.Summary()
+			r.KTrajectory = sum.KTrajectory(res.Strategy)
+			if c := sum.Counters; c != (telemetry.Counters{}) {
+				r.Telemetry = &c
 			}
 		}
-		finish(i, solveOne(ctx, solver, it, opt), true)
-	})
+		return r
+	}, logLine)
 	return &Report{Measure: opt.Measure, Results: results}, nil
 }
 

@@ -9,15 +9,18 @@ import (
 
 // The result cache keys on a canonical form of the query hypergraph
 // rather than its text: vertices are relabeled in order of first
-// occurrence (scanning edges in input order, each edge ascending), every
-// edge is re-expressed as a bitset over the relabeled ids, and the
-// per-edge VertexSet fingerprints are chained into one 64-bit key — the
-// same Fingerprint machinery the search memo tables use. Repeated
-// queries and queries that differ only in vertex/edge names therefore
-// hit the same entry; detecting isomorphism under edge reordering is
-// intentionally out of scope. The exact canonical string is kept
-// alongside the fingerprint so hash collisions cannot cross-contaminate
-// entries.
+// occurrence (scanning edges in input order; the vertices an edge sees
+// first are ordered by their incident-edge sets, so the order in which
+// vertices were declared does not matter), every edge is re-expressed
+// as a bitset over the relabeled ids, and the per-edge VertexSet
+// fingerprints are chained into one 64-bit key — the same Fingerprint
+// machinery the search memo tables use. Repeated queries and queries
+// that differ only in vertex/edge names therefore hit the same entry;
+// detecting isomorphism under edge reordering is intentionally out of
+// scope. Vertices first seen in the same edge with equal incident-edge
+// sets are twins, so their relative order leaves the canonical form
+// unchanged. The exact canonical string is kept alongside the
+// fingerprint so hash collisions cannot cross-contaminate entries.
 
 // Key identifies one cache slot: the canonical hypergraph, the measure,
 // and the result-shaping options (ExactVertexLimit, NoPreprocess) — two
@@ -52,13 +55,26 @@ func canonKey(opt Options, h *hypergraph.Hypergraph) (Key, []int) {
 	var b strings.Builder
 	fp := uint64(14695981039346656037)
 	set := hypergraph.NewVertexSet(h.NumVertices())
+	// This edge's unlabeled vertices, kept sorted by incident-edge set;
+	// the constant capacity keeps small edges off the heap.
+	fresh := make([]int, 0, 16)
 	for e := 0; e < h.NumEdges(); e++ {
-		set = set.Reset()
+		fresh = fresh[:0]
 		h.Edge(e).ForEach(func(v int) bool {
 			if relabel[v] < 0 {
-				relabel[v] = next
-				next++
+				fresh = append(fresh, v)
+				for i := len(fresh) - 1; i > 0 && edgeSetLess(h.IncidentEdges(fresh[i]), h.IncidentEdges(fresh[i-1])); i-- {
+					fresh[i], fresh[i-1] = fresh[i-1], fresh[i]
+				}
 			}
+			return true
+		})
+		for _, v := range fresh {
+			relabel[v] = next
+			next++
+		}
+		set = set.Reset()
+		h.Edge(e).ForEach(func(v int) bool {
 			set.Add(relabel[v])
 			return true
 		})
@@ -71,6 +87,17 @@ func canonKey(opt Options, h *hypergraph.Hypergraph) (Key, []int) {
 		Measure: opt.Measure, FP: fp, canon: b.String(),
 		exactLimit: opt.ExactVertexLimit, noPre: opt.NoPreprocess,
 	}, relabel
+}
+
+// edgeSetLess orders two incidence sets of one hypergraph (equal word
+// counts) by their words, lowest word first.
+func edgeSetLess(a, b hypergraph.EdgeSet) bool {
+	for i, w := range a {
+		if w != b[i] {
+			return w < b[i]
+		}
+	}
+	return false
 }
 
 // CacheStats is a point-in-time view of cache effectiveness.
@@ -111,24 +138,22 @@ type entry struct {
 	size    int64
 }
 
-// DefaultCacheSize bounds a Cache constructed with NewCache(0).
+// DefaultCacheSize bounds a Cache constructed with NewCache(0, …).
 const DefaultCacheSize = 4096
 
 // DefaultCacheBytes bounds the approximate retained bytes of a Cache
-// constructed with NewCache or with NewCacheBytes(…, 0).
+// constructed with NewCache(…, 0).
 const DefaultCacheBytes int64 = 128 << 20 // 128 MiB
 
 // NewCache returns a cache holding at most max entries (0 = default)
-// under the default byte bound.
-func NewCache(max int) *Cache {
-	return NewCacheBytes(max, 0)
-}
-
-// NewCacheBytes returns a cache holding at most max entries (0 =
-// default) and at most maxBytes approximate retained bytes (0 =
-// default). Whichever bound is hit first evicts oldest-in.
-func NewCacheBytes(max int, maxBytes int64) *Cache {
-	if max <= 0 {
+// and at most maxBytes approximate retained bytes (0 = default).
+// Whichever bound is hit first evicts oldest-in. A negative max returns
+// nil, the disabled cache NewSolver accepts.
+func NewCache(max int, maxBytes int64) *Cache {
+	if max < 0 {
+		return nil
+	}
+	if max == 0 {
 		max = DefaultCacheSize
 	}
 	if maxBytes <= 0 {

@@ -25,7 +25,7 @@ func TestKeyRenamingInvariance(t *testing.T) {
 }
 
 func TestCacheHitPath(t *testing.T) {
-	s := NewSolver(0, 0)
+	s := NewSolver(NewCache(0, 0), 0)
 	h := hypergraph.ExampleH0()
 	r1, err := s.Solve(context.Background(), h, Options{Measure: GHW})
 	if err != nil {
@@ -82,7 +82,7 @@ func TestCacheHitPath(t *testing.T) {
 }
 
 func TestCacheSkipsPartial(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache(0, 0)
 	k := KeyFor(HW, hypergraph.Clique(3))
 	c.Put(k, &Result{Exact: false})
 	if c.Len() != 0 {
@@ -91,7 +91,7 @@ func TestCacheSkipsPartial(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(2, 0)
 	for i := 0; i < 5; i++ {
 		h := hypergraph.Path(i + 2)
 		c.Put(KeyFor(HW, h), &Result{Exact: true})
@@ -107,7 +107,7 @@ func TestCacheByteEviction(t *testing.T) {
 	// cap (100) is never reached.
 	var perEntry int64
 	{
-		probe := NewCacheBytes(100, 0)
+		probe := NewCache(100, 0)
 		h := hypergraph.Path(40)
 		k, relabel := canonKey(Options{Measure: HW}, h)
 		probe.putEntry(k, &entry{res: &Result{Exact: true}, h: h, relabel: relabel})
@@ -116,7 +116,7 @@ func TestCacheByteEviction(t *testing.T) {
 			t.Fatalf("probe entry has non-positive size %d", perEntry)
 		}
 	}
-	c := NewCacheBytes(100, 2*perEntry+perEntry/2)
+	c := NewCache(100, 2*perEntry+perEntry/2)
 	for i := 0; i < 5; i++ {
 		h := hypergraph.Path(40 + i)
 		k, relabel := canonKey(Options{Measure: HW}, h)
@@ -138,7 +138,7 @@ func TestCacheByteEviction(t *testing.T) {
 }
 
 func TestCacheRejectsOversizedEntry(t *testing.T) {
-	c := NewCacheBytes(100, 64) // tiny byte budget
+	c := NewCache(100, 64) // tiny byte budget
 	h := hypergraph.Path(40)
 	k, relabel := canonKey(Options{Measure: HW}, h)
 	c.putEntry(k, &entry{res: &Result{Exact: true}, h: h, relabel: relabel})

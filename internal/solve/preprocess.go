@@ -88,9 +88,11 @@ func simplify(h *hypergraph.Hypergraph, measure Measure, disabled bool) prep {
 		}
 		return p
 	}
+	// Every dropped edge is a subset of a kept one, so the kept edges
+	// span the same primal graph, and the same components, as h.
 	var pieces []hypergraph.VertexSet
 	if measure == HW {
-		pieces = connectedPieces(h, p.kept)
+		pieces = h.ComponentsOf(nil, covered)
 	} else {
 		pieces = biconnectedBlocks(h, p.kept)
 	}
@@ -98,70 +100,14 @@ func simplify(h *hypergraph.Hypergraph, measure Measure, disabled bool) prep {
 	return p
 }
 
-// connectedPieces returns the vertex sets of the connected components
-// spanned by the kept edges.
-func connectedPieces(h *hypergraph.Hypergraph, kept []int) []hypergraph.VertexSet {
-	n := h.NumVertices()
-	free := hypergraph.NewVertexSet(n)
-	for _, e := range kept {
-		free.UnionInPlace(h.Edge(e))
-	}
-	adj := keptAdjacency(h, kept)
-	var out []hypergraph.VertexSet
-	stack := make([]int, 0, 64)
-	for {
-		start := free.First()
-		if start < 0 {
-			return out
-		}
-		comp := hypergraph.NewVertexSet(n)
-		comp.Add(start)
-		free.Remove(start)
-		stack = append(stack[:0], start)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			adj[v].ForEach(func(u int) bool {
-				if free.Has(u) {
-					free.Remove(u)
-					comp.Add(u)
-					stack = append(stack, u)
-				}
-				return true
-			})
-		}
-		out = append(out, comp)
-	}
-}
-
-// keptAdjacency builds primal-graph adjacency restricted to the kept
-// edges.
-func keptAdjacency(h *hypergraph.Hypergraph, kept []int) []hypergraph.VertexSet {
-	n := h.NumVertices()
-	adj := make([]hypergraph.VertexSet, n)
-	for _, e := range kept {
-		vs := h.Edge(e).Vertices()
-		for _, u := range vs {
-			if adj[u] == nil {
-				adj[u] = hypergraph.NewVertexSet(n)
-			}
-			for _, v := range vs {
-				if u != v {
-					adj[u].Add(v)
-				}
-			}
-		}
-	}
-	return adj
-}
-
 // biconnectedBlocks returns the vertex sets of the biconnected
-// components (blocks) of the primal graph of the kept edges, via the
-// Hopcroft–Tarjan lowlink algorithm with an edge stack. Vertices with no
-// primal neighbours (from singleton edges) form singleton blocks.
+// components (blocks) of the primal graph of h, which the kept edges
+// span, via the Hopcroft–Tarjan lowlink algorithm with an edge stack.
+// Vertices with no primal neighbours (from singleton edges) form
+// singleton blocks.
 func biconnectedBlocks(h *hypergraph.Hypergraph, kept []int) []hypergraph.VertexSet {
 	n := h.NumVertices()
-	adj := keptAdjacency(h, kept)
+	adj := h.AdjacencyMatrix()
 	disc := make([]int, n) // 0 = unvisited; else discovery time + 1
 	low := make([]int, n)
 	time := 0
@@ -209,7 +155,7 @@ func biconnectedBlocks(h *hypergraph.Hypergraph, kept []int) []hypergraph.Vertex
 	for _, e := range kept {
 		h.Edge(e).ForEach(func(v int) bool {
 			if disc[v] == 0 {
-				if adj[v] == nil || adj[v].IsEmpty() {
+				if adj[v].IsEmpty() {
 					disc[v] = -1 // mark handled
 					blocks = append(blocks, hypergraph.SetOf(v))
 					return true

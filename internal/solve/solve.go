@@ -203,22 +203,9 @@ type call struct {
 	relabel []int
 }
 
-// NewSolver returns a Solver with a cache of cacheSize entries
-// (0 = default size, negative = no cache) under the default byte bound,
+// NewSolver returns a Solver using the cache c (nil disables caching)
 // and the given per-solve block parallelism (0 = GOMAXPROCS).
-func NewSolver(cacheSize, workers int) *Solver {
-	var c *Cache
-	if cacheSize >= 0 {
-		c = NewCache(cacheSize)
-	}
-	return NewSolverWithCache(c, workers)
-}
-
-// NewSolverWithCache returns a Solver using the given cache (nil
-// disables caching) and per-solve block parallelism (0 = GOMAXPROCS).
-// Use NewCacheBytes to bound the cache by retained bytes as well as
-// entry count.
-func NewSolverWithCache(c *Cache, workers int) *Solver {
+func NewSolver(c *Cache, workers int) *Solver {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -230,7 +217,7 @@ func (s *Solver) Cache() *Cache { return s.cache }
 
 // Solve computes the requested width measure of h. See Solver.Solve.
 func Solve(ctx context.Context, h *hypergraph.Hypergraph, opt Options) (*Result, error) {
-	return NewSolver(-1, 0).Solve(ctx, h, opt)
+	return NewSolver(nil, 0).Solve(ctx, h, opt)
 }
 
 // Solve runs the pipeline: cache lookup, simplification, per-block

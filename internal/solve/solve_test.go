@@ -199,7 +199,7 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	h := hypergraph.Grid(4, 4)
 	start := time.Now()
-	r, err := (NewSolver(-1, 0)).Solve(ctx, h, Options{Measure: HW})
+	r, err := (NewSolver(nil, 0)).Solve(ctx, h, Options{Measure: HW})
 	if err != nil {
 		t.Fatalf("cancelled solve errored: %v", err)
 	}

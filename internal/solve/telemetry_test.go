@@ -25,7 +25,7 @@ func kinds(s *telemetry.Summary) map[string]int {
 // engine counters, and a cache miss; an identical re-query under a
 // fresh trace must record a cache hit and no strategies.
 func TestSolveTracedHW(t *testing.T) {
-	s := NewSolver(0, 0)
+	s := NewSolver(NewCache(0, 0), 0)
 	h := hypergraph.Grid(2, 3)
 	ctx, tr := telemetry.WithTrace(context.Background())
 	r, err := s.Solve(ctx, h, Options{Measure: HW})
@@ -122,7 +122,7 @@ func TestSolveTracedFHW(t *testing.T) {
 // reports. Earlier tests in this package have already solved, so the
 // counters must be populated.
 func TestTelemetryTotals(t *testing.T) {
-	s := NewSolver(0, 0)
+	s := NewSolver(NewCache(0, 0), 0)
 	if _, err := s.Solve(context.Background(), hypergraph.Clique(3), Options{Measure: FHW}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestImproveWitnessTraced(t *testing.T) {
 // canonicalization + the private result copies). The global counters it
 // now also bumps are atomics and must not add a single allocation.
 func TestSolveUntracedAllocs(t *testing.T) {
-	s := NewSolver(0, 1)
+	s := NewSolver(NewCache(0, 0), 1)
 	h := hypergraph.Grid(2, 3)
 	ctx := context.Background()
 	if _, err := s.Solve(ctx, h, Options{Measure: HW}); err != nil {
