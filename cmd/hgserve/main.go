@@ -185,9 +185,12 @@ type widthResponse struct {
 	Exact    bool   `json:"exact"`
 	Partial  bool   `json:"partial,omitempty"`
 	Cached   bool   `json:"cached,omitempty"`
+	// Strategy names the lane that published the widest block's bound
+	// first. When several lanes reach the same bound it can differ
+	// between fresh solves of one instance.
 	Strategy string `json:"strategy,omitempty"`
-	// Provenance classifies the guarantee behind Upper: "exact",
-	// "approx-certified" or "heuristic".
+	// Provenance classifies the guarantee behind Upper: "exact" or
+	// "heuristic".
 	Provenance string `json:"provenance,omitempty"`
 	Blocks     int    `json:"blocks"`
 	ElapsedMS  int64  `json:"elapsed_ms"`

@@ -33,7 +33,7 @@ func TestPrintResultExact(t *testing.T) {
 func TestPrintResultInterval(t *testing.T) {
 	out := render(&solve.Result{
 		Measure: solve.FHW, Lower: lp.RI(2), Upper: lp.RI(3),
-		Partial: true, Strategy: "approx-logn", Provenance: solve.ProvApproxCertified,
+		Partial: true, Strategy: "probe", Provenance: solve.ProvHeuristic,
 	})
 	if !strings.Contains(out, "fhw ∈ [2, 3]") {
 		t.Fatalf("interval result rendered as %q", out)
@@ -41,7 +41,7 @@ func TestPrintResultInterval(t *testing.T) {
 	if strings.Contains(out, "=") {
 		t.Fatalf("inexact result reads as exact: %q", out)
 	}
-	if !strings.Contains(out, "approx-certified") {
+	if !strings.Contains(out, "heuristic") {
 		t.Fatalf("provenance tag missing: %q", out)
 	}
 }

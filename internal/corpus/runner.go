@@ -66,9 +66,10 @@ type InstanceResult struct {
 	Partial     bool   `json:"partial,omitempty"`
 	Cached      bool   `json:"cached,omitempty"`
 	Strategy    string `json:"strategy,omitempty"`
-	// Provenance classifies the guarantee behind Upper ("exact",
-	// "approx-certified" or "heuristic"); see CORPUS.md. Absent only on
-	// error lines and pre-interval-contract logs.
+	// Provenance classifies the guarantee behind Upper ("exact" or
+	// "heuristic"; older logs may carry "approx-certified"); see
+	// CORPUS.md. Absent only on error lines and pre-interval-contract
+	// logs.
 	Provenance string  `json:"provenance,omitempty"`
 	Blocks     int     `json:"blocks,omitempty"`
 	ElapsedMS  int64   `json:"elapsed_ms"`

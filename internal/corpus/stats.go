@@ -36,10 +36,12 @@ type Summary struct {
 	Widths map[string]int
 	// StrategyWins counts exact results by the portfolio strategy that
 	// produced them (empty strategies — cached or pre-telemetry log
-	// lines — are not counted).
+	// lines — are not counted). When lanes tie, the one that published
+	// first wins, so the counts can move between fresh runs.
 	StrategyWins map[string]int
 	// Provenance counts error-free results by upper-bound guarantee
-	// class ("exact", "approx-certified", "heuristic"); records from
+	// class ("exact" or "heuristic"; older logs may also carry
+	// "approx-certified", counted as read); records from
 	// pre-interval-contract logs land under "".
 	Provenance map[string]int
 	// IntervalLess counts error-free records with no upper bound — the

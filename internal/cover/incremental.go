@@ -13,7 +13,7 @@ package cover
 // union is the bag, with the LP minimizing the cover weight of that
 // union by exactly the stacked atoms. TargetLP serves ρ*(target)
 // queries over the edges of one hypergraph: Algorithm 3's Ws
-// enumeration, the approximation ladder's bag pricing and sat-ord's fhw
+// enumeration and the bag pricing of the fhw probe and sat-ord's fhw
 // lane. FractionalEdgeCover runs a fresh TargetLP once.
 
 import (

@@ -135,7 +135,7 @@ func TestSolveIntervalUnderPressure(t *testing.T) {
 
 // TestGHWDetkLaneDifferential is the soundness differential for the
 // detk upper-bound lane of the ghw race. With the exact DP and sat-ord
-// gated off, bip, detk, minfill and approx race on every golden corpus
+// gated off, bip, detk, minfill and probe race on every golden corpus
 // instance; a detk witness may close the race only against a lower
 // bound proven by another lane, so every result must be exact and equal
 // to the golden ghw.

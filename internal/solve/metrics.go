@@ -1,13 +1,13 @@
 package solve
 
 // metrics.go — the solve pipeline's labelled metric families and the
-// glue that maps per-loop aggregates (retired solver pools, sat-ord
-// searches, approximation rungs) onto telemetry.Counters.
+// glue that maps per-loop aggregates (retired bag-pricing LPs and
+// sat-ord searches) onto telemetry.Counters.
 //
 // Scalar counters are not declared here: every producer hands a
 // Counters delta to telemetry.Publish, which feeds both the request
 // trace and the process totals that /metrics renders. The families
-// below carry a strategy, provenance or rung label, or are the solve
+// below carry a strategy or provenance label, or are the solve
 // histogram; they are registered once at package init on
 // telemetry.Default(). Producers publish per Solve or per retired
 // loop, never per subproblem, so the untraced hot path stays
@@ -38,11 +38,6 @@ var (
 		"portfolio strategy runs cut short by deadline or cancellation", "strategy")
 	mProvenance = telemetry.Default().NewCounterVec("hg_solve_provenance_total",
 		"computed solves by upper-bound provenance", "provenance")
-
-	mApproxRuns = telemetry.Default().NewCounterVec("hg_approx_runs_total",
-		"approximation-ladder strategy runs, per rung", "rung")
-	mApproxWitnesses = telemetry.Default().NewCounterVec("hg_approx_witnesses_total",
-		"ladder runs that produced a decomposition, per rung", "rung")
 )
 
 // record publishes one completed Solve into the process-wide metrics

@@ -2,12 +2,14 @@ package solve
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"slices"
 	"sync"
 	"time"
 
 	"hypertree/internal/core"
+	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
@@ -40,6 +42,13 @@ import (
 //	      raced: deciding fhw ≤ k is NP-complete even for k = 2, so it
 //	      could only offer upper bounds, and it never finished first on
 //	      the benchmark mix.
+//
+// Every race also runs the probe: Check(HD,k) from one level above the
+// lower bound, each level under a short timer. Check(HD,k) accepts fast
+// at or just above the width and spends its time refuting, so a level
+// whose timer fires is skipped and the first acceptance is an anytime
+// upper bound for all three measures: an HD is a GHD, and repricing its
+// bags by ρ* turns it into an FHD of no larger width.
 
 // blockResult carries the outcome for one block.
 type blockResult struct {
@@ -49,7 +58,6 @@ type blockResult struct {
 	exact    bool
 	partial  bool // the budget expired before exactness
 	strategy string
-	prov     Provenance // guarantee class of the incumbent witness
 }
 
 // race is the shared incumbent state of one block's strategy race, with
@@ -78,9 +86,8 @@ func (r *race) raiseLower(lb *big.Rat, strategy string) {
 	r.closeIfMet(strategy)
 }
 
-// offerUpper publishes a witness of the given width with the guarantee
-// class of the strategy that produced it.
-func (r *race) offerUpper(w *big.Rat, d *decomp.Decomp, strategy string, prov Provenance) {
+// offerUpper publishes a witness of the given width.
+func (r *race) offerUpper(w *big.Rat, d *decomp.Decomp, strategy string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.res.exact {
@@ -88,7 +95,6 @@ func (r *race) offerUpper(w *big.Rat, d *decomp.Decomp, strategy string, prov Pr
 	}
 	if r.res.upper == nil || w.Cmp(r.res.upper) < 0 {
 		r.res.upper, r.res.witness, r.res.strategy = w, d, strategy
-		r.res.prov = prov
 	}
 	r.closeIfMet(strategy)
 }
@@ -102,7 +108,6 @@ func (r *race) offerExact(w *big.Rat, d *decomp.Decomp, strategy string) {
 	}
 	r.res.lower, r.res.upper, r.res.witness = w, w, d
 	r.res.exact, r.res.strategy = true, strategy
-	r.res.prov = ProvExact
 	r.cancel()
 }
 
@@ -113,7 +118,6 @@ func (r *race) closeIfMet(strategy string) {
 	}
 	if r.res.lower.Cmp(r.res.upper) >= 0 {
 		r.res.exact = true
-		r.res.prov = ProvExact
 		if r.res.strategy == "" {
 			r.res.strategy = strategy
 		}
@@ -212,7 +216,7 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	// block with a finite certified upper bound. One greedy sweep is
 	// O(|E|·|V|) — cheap enough to be uncancellable.
 	if d := trivialDecomp(bh); d != nil {
-		r.offerUpper(d.Width(), d, "trivial-ub", ProvHeuristic)
+		r.offerUpper(d.Width(), d, "trivial-ub")
 	}
 
 	var wg sync.WaitGroup
@@ -284,7 +288,17 @@ type lane struct {
 	run      func(ctx context.Context, r *race)
 	open     func(r *race) (check levelCheck, flush func(), err error)
 	yes, no  proof // what an accepted and a refuted level prove
+	// budget caps each deepening level; 0 lets every level finish. A
+	// budgeted lane works one level above the race's lower bound, and a
+	// level whose timer fires while the race is live proves nothing and
+	// is skipped.
+	budget time.Duration
 }
+
+// probeBudget is the probe's per-level budget: long enough for
+// Check(HD,k) to accept at or near the width, short enough that a
+// refutation it cannot finish costs little.
+const probeBudget = 50 * time.Millisecond
 
 // levelCheck decides one deepening level: a witness of width w ≤ k, or
 // a nil witness when no decomposition of width ≤ k exists.
@@ -330,7 +344,13 @@ var lanes = []lane{
 		w, d, err := core.MinFillFHDCtx(ctx, r.bh)
 		offerMinFill(ctx, r, w, d, err)
 	}},
-	{name: "approx-logn", measures: []Measure{GHW, FHW}, run: runApproxLogN},
+	// The probe works above the lower bound, so an acceptance is an
+	// upper bound. Under hw a refutation inside the budget is a lower
+	// bound; under ghw it proves nothing; under fhw the accepted HD's
+	// bags are repriced by ρ*.
+	{name: "probe", measures: []Measure{HW}, budget: probeBudget, open: openEngine(core.CheckHDOptCtx), yes: proofUpper, no: proofLowerNext},
+	{name: "probe", measures: []Measure{GHW}, budget: probeBudget, open: openEngine(core.CheckHDOptCtx), yes: proofUpper, no: proofNone},
+	{name: "probe", measures: []Measure{FHW}, budget: probeBudget, open: openProbeFHW, yes: proofUpper, no: proofNone},
 	// Check(GHD,k) through subedge augmentation; it retires when the
 	// subedge closure exceeds its cap.
 	{name: "bip", measures: []Measure{GHW}, open: openEngine(core.CheckGHDViaBIPCtx), yes: proofExact, no: proofLowerNext},
@@ -351,13 +371,16 @@ func (l *lane) runIn(ctx context.Context, r *race) {
 }
 
 // deepen runs a deepening lane level by level from the race's lower
-// bound, publishing what each answer proves. The next level skips past
-// any lower bound another lane proved meanwhile. In the integral races
-// no level at or above the incumbent upper bound is attempted: uppers
-// there are integers and a refuting lane starts each level with lower ≥
-// k, so upper ≤ k means the race has closed, or that an upper-bound lane
-// could at best re-find the incumbent's width. Under fhw an upper bound
-// ≤ k may be fractional, and the level can still tighten or certify it.
+// bound (one above it for a budgeted lane), publishing what each answer
+// proves. The next level skips past any lower bound another lane proved
+// meanwhile. A budgeted level runs on a child context; if its timer
+// fires while the race is live, the level is unknown and the lane moves
+// on to the next. In the integral races no level at or above the
+// incumbent upper bound is attempted: uppers there are integers and a
+// refuting lane starts each level with lower ≥ k, so upper ≤ k means the
+// race has closed, or that an upper-bound lane could at best re-find the
+// incumbent's width. Under fhw an upper bound ≤ k may be fractional, and
+// the level can still tighten or certify it.
 func deepen(ctx context.Context, l *lane, r *race) {
 	check, flush, err := l.open(r)
 	if err != nil {
@@ -365,14 +388,26 @@ func deepen(ctx context.Context, l *lane, r *race) {
 	}
 	defer flush()
 	integral := r.opt.Measure != FHW
-	for k := r.snapshotLower(); k <= r.bh.NumEdges(); k = max(k+1, r.snapshotLower()) {
+	above := 0
+	if l.budget > 0 {
+		above = 1
+	}
+	for k := r.snapshotLower() + above; k <= r.bh.NumEdges(); k = max(k+1, r.snapshotLower()+above) {
 		if integral && r.upperBelow(k) {
 			return
 		}
 		mDeepenSteps.With(l.name).Inc()
 		r.tr.Deepen(r.blk, l.name, k)
-		d, w, err := check(ctx, k)
+		lctx, cancel := ctx, func() {}
+		if l.budget > 0 {
+			lctx, cancel = context.WithTimeout(ctx, l.budget)
+		}
+		d, w, err := check(lctx, k)
+		timedOut := err != nil && lctx.Err() != nil && ctx.Err() == nil
+		cancel()
 		switch {
+		case timedOut:
+			continue
 		case err != nil:
 			return // canceled, or the decider gave up (bip's closure cap)
 		case d != nil:
@@ -380,7 +415,7 @@ func deepen(ctx context.Context, l *lane, r *race) {
 			case proofExact:
 				r.offerExact(w, d, l.name)
 			case proofUpper:
-				r.offerUpper(w, d, l.name, ProvHeuristic)
+				r.offerUpper(w, d, l.name)
 			}
 			return
 		case l.no == proofLowerNext:
@@ -421,8 +456,8 @@ func withWidth(d *decomp.Decomp, err error) (*decomp.Decomp, *big.Rat, error) {
 	return d, d.Width(), nil
 }
 
-// offerMinFill publishes a min-fill witness and improves it, or
-// classifies the run's failure.
+// offerMinFill publishes a min-fill witness, or classifies the run's
+// failure.
 func offerMinFill(ctx context.Context, r *race, w *big.Rat, d *decomp.Decomp, err error) {
 	switch {
 	case err != nil:
@@ -430,7 +465,72 @@ func offerMinFill(ctx context.Context, r *race, w *big.Rat, d *decomp.Decomp, er
 	case d == nil:
 		strategyFailure(ctx, r.tr, r.blk, "minfill", errMinFillCover)
 	default:
-		r.offerUpper(w, d, "minfill", ProvHeuristic)
-		improveWitness(ctx, r, d, ProvHeuristic)
+		r.offerUpper(w, d, "minfill")
 	}
+}
+
+// openProbeFHW opens the fhw probe: Check(HD,k) with every bag of an
+// accepted witness repriced by ρ*. The HD's λ covers its bag, so
+// ρ*(bag) ≤ |λ| and the FHD is no wider than k. Retiring publishes the
+// pricing LP's counters.
+func openProbeFHW(r *race) (levelCheck, func(), error) {
+	copt := core.Options{Trace: r.tr}
+	tl := cover.NewTargetLP(r.bh)
+	flush := func() {
+		var c telemetry.Counters
+		setLP(&c, tl.Stats())
+		telemetry.Publish(r.tr, c)
+	}
+	return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
+		d, err := core.CheckHDOptCtx(ctx, r.bh, k, copt)
+		if d == nil || err != nil {
+			return nil, nil, err
+		}
+		for i := range d.Nodes {
+			if _, g := tl.Solve(d.Nodes[i].Bag); g != nil {
+				d.Nodes[i].Cover = g
+			}
+		}
+		return d, d.Width(), nil
+	}, flush, nil
+}
+
+// errMinFillCover marks a min-fill run that produced an elimination
+// order but could not price one of its bags — the silent (nil, nil)
+// return of core.MinFill*Ctx, distinct from budget cancellation.
+var errMinFillCover = errors.New("min-fill: no cover for an elimination bag")
+
+// trivialDecomp builds the one-node decomposition whose bag is the
+// union of every edge, covered greedily with integral weights. It is a
+// valid HD, GHD and FHD (the special condition is vacuous on a single
+// node), so it is a sound — if weak — upper bound for every measure.
+// Returns nil on an edgeless hypergraph.
+func trivialDecomp(bh *hypergraph.Hypergraph) *decomp.Decomp {
+	if bh.NumEdges() == 0 {
+		return nil
+	}
+	bag := hypergraph.NewVertexSet(bh.NumVertices())
+	for e := 0; e < bh.NumEdges(); e++ {
+		bag.UnionInPlace(bh.Edge(e))
+	}
+	cov := cover.IntegralCover(bh, bag, 0)
+	if cov == nil {
+		return nil
+	}
+	d := decomp.New(bh)
+	d.AddNode(-1, bag, cov)
+	return d
+}
+
+// strategyFailure classifies a portfolio strategy's failed run: budget
+// expiry and race cancellation are expected and only counted, while a
+// real error additionally lands in the trace so operators can see which
+// strategy degraded the answer to a wider interval.
+func strategyFailure(ctx context.Context, tr *telemetry.Trace, blk int, name string, err error) {
+	if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		mStrategyCanceled.With(name).Inc()
+		return
+	}
+	mStrategyErrors.With(name).Inc()
+	tr.Eventf("strategy_error", "%s block=%d: %v", name, blk, err)
 }

@@ -2,10 +2,14 @@ package solve
 
 import (
 	"context"
+	"math/big"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"hypertree/internal/core"
+	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
@@ -45,8 +49,8 @@ func TestDeepenHDGHWMode(t *testing.T) {
 	if r.res.upper == nil || r.res.upper.Cmp(lp.RI(3)) != 0 || r.res.strategy != "detk" {
 		t.Fatalf("upper = %v by %q, want 3 by detk", r.res.upper, r.res.strategy)
 	}
-	if r.res.prov != ProvHeuristic || r.res.exact {
-		t.Fatalf("prov = %q exact = %v, want an inexact heuristic upper bound", r.res.prov, r.res.exact)
+	if r.res.exact {
+		t.Fatal("race closed, want an inexact upper bound")
 	}
 	for _, kind := range []decomp.Kind{decomp.HD, decomp.GHD} {
 		if err := r.res.witness.Validate(kind); err != nil {
@@ -76,24 +80,13 @@ func TestDeepenHDGHWMode(t *testing.T) {
 	}
 }
 
-// levelHookCtx runs onLevel whenever a level's check fetches the
-// context's done channel, which each deepening level does once, at its
-// start.
-type levelHookCtx struct {
-	context.Context
-	onLevel func()
-}
-
-func (c levelHookCtx) Done() <-chan struct{} {
-	c.onLevel()
-	return c.Context.Done()
-}
-
 // TestDeepenSkipsRefutedLevels drives every deepening row of the lane
 // table, one subtest per strategy and measure, while another lane
 // proves width ≥ 3 during the row's first level. The row must not re-run
 // level 2, which that bound already refutes: no deepen event may sit
-// below the lower bound the race held when its level started. On
+// below the lower bound the race held when its level started. An
+// unbudgeted row starts at the lower bound, 1; a budgeted row (the
+// probe) starts one above it and stays one above it after the skip. On
 // Grid(4,4) hw = ghw = fhw = 3.
 func TestDeepenSkipsRefutedLevels(t *testing.T) {
 	var names []string
@@ -115,20 +108,33 @@ func TestDeepenSkipsRefutedLevels(t *testing.T) {
 	}
 }
 
-func testDeepenSkips(t *testing.T, l *lane, m Measure) {
+func testDeepenSkips(t *testing.T, row *lane, m Measure) {
 	bh := hypergraph.Grid(4, 4)
 	ctx, tr := telemetry.WithTrace(context.Background())
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &race{bh: bh, opt: Options{Measure: m}, tr: tr, cancel: cancel}
-	var held []int // the race's lower bound at the start of each level
-	hook := levelHookCtx{Context: ctx, onLevel: func() {
-		held = append(held, r.snapshotLower())
-		if len(held) == 1 {
-			r.raiseLower(lp.RI(3), "other")
+	// The row's own decider, wrapped to record the race's lower bound at
+	// the start of each level and to raise it during the first.
+	var held []int
+	l := *row
+	l.open = func(r *race) (levelCheck, func(), error) {
+		check, flush, err := row.open(r)
+		if err != nil {
+			return nil, nil, err
 		}
-	}}
-	deepen(hook, l, r)
+		return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
+			held = append(held, r.snapshotLower())
+			if len(held) == 1 {
+				r.raiseLower(lp.RI(3), "other")
+			}
+			return check(ctx, k)
+		}, flush, nil
+	}
+	if l.budget > 0 {
+		l.budget = time.Minute // the start rule under test, not the timer
+	}
+	deepen(ctx, &l, r)
 
 	got := tr.Summary().KTrajectory(l.name)
 	if len(got) != len(held) {
@@ -139,15 +145,137 @@ func testDeepenSkips(t *testing.T, l *lane, m Measure) {
 			t.Fatalf("%s deepened to %d while the race held width ≥ %d (trajectory %v)", l.name, k, held[i], got)
 		}
 	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("%s trajectory %v, want [1 3]", l.name, got)
+	want := []int{1, 3}
+	if l.budget > 0 {
+		want = []int{2, 4}
 	}
-	// Any witness at level 3 meets the lower bound and closes the race.
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s trajectory %v, want %v", l.name, got, want)
+	}
+	// A witness at level 3 meets the lower bound and closes the race; a
+	// budgeted row's witness at level 4 is an upper bound above it.
 	switch closes := l.yes != proofNone; {
+	case l.budget > 0 && (r.res.strategy != l.name || r.res.upper.Cmp(lp.RI(4)) > 0 || r.res.lower.Cmp(lp.RI(3)) != 0):
+		t.Fatalf("race = lower %s, upper %v by %q; want lower 3, upper ≤ 4 by %s", r.res.lower.RatString(), r.res.upper, r.res.strategy, l.name)
+	case l.budget > 0:
 	case closes && (!r.res.exact || r.res.strategy != l.name || r.res.upper.Cmp(lp.RI(3)) != 0):
 		t.Fatalf("race = exact %v, upper %v by %q, want exact 3 by %s", r.res.exact, r.res.upper, r.res.strategy, l.name)
 	case !closes && (r.res.witness != nil || r.res.lower.Cmp(lp.RI(3)) != 0):
 		t.Fatalf("race = lower %s, witness by %q; want lower 3 and no witness", r.res.lower.RatString(), r.res.strategy)
+	}
+}
+
+// TestDeepenBudgetSkipsTimedOutLevels drives the probe row with a
+// decider that, at level 2 (one above the race's lower bound 1), either
+// blocks until its level's timer fires or refutes at once, and accepts
+// Check(HD,k) at every later level. On Grid(4,4), hw = 3. A timed-out
+// level proves nothing under any measure: the lower bound stays 1 and
+// the next level, 3, yields the upper bound 3. A refutation inside the
+// budget raises the hw lower bound to 3, so the probe goes on at 4; under
+// ghw it proves nothing and the probe goes on at 3.
+func TestDeepenBudgetSkipsTimedOutLevels(t *testing.T) {
+	bh := hypergraph.Grid(4, 4)
+	for _, tc := range []struct {
+		m          Measure
+		refute     bool
+		lower      int64
+		trajectory []int
+	}{
+		{HW, false, 1, []int{2, 3}},
+		{GHW, false, 1, []int{2, 3}},
+		{HW, true, 3, []int{2, 4}},
+		{GHW, true, 1, []int{2, 3}},
+	} {
+		name := tc.m.String() + "/timeout"
+		if tc.refute {
+			name = tc.m.String() + "/refute"
+		}
+		t.Run(name, func(t *testing.T) {
+			l := *laneFor(t, "probe", tc.m)
+			l.budget = 20 * time.Millisecond
+			l.open = func(r *race) (levelCheck, func(), error) {
+				return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
+					switch {
+					case k == 2 && tc.refute:
+						return nil, nil, nil
+					case k == 2:
+						<-ctx.Done()
+						return nil, nil, ctx.Err()
+					}
+					return withWidth(core.CheckHD(bh, k), nil)
+				}, func() {}, nil
+			}
+			ctx, tr := telemetry.WithTrace(context.Background())
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			r := &race{bh: bh, opt: Options{Measure: tc.m}, tr: tr, cancel: cancel}
+			r.res.lower = lp.RI(1)
+			deepen(ctx, &l, r)
+
+			if got := tr.Summary().KTrajectory("probe"); !slices.Equal(got, tc.trajectory) {
+				t.Fatalf("probe trajectory %v, want %v", got, tc.trajectory)
+			}
+			if r.res.lower.Cmp(lp.RI(tc.lower)) != 0 {
+				t.Fatalf("lower = %s, want %d", r.res.lower.RatString(), tc.lower)
+			}
+			last := tc.trajectory[len(tc.trajectory)-1]
+			if r.res.upper == nil || r.res.upper.Cmp(lp.RI(int64(last))) > 0 || r.res.strategy != "probe" {
+				t.Fatalf("upper = %v by %q, want ≤ %d by probe", r.res.upper, r.res.strategy, last)
+			}
+			if err := r.res.witness.Validate(tc.m.Kind()); err != nil {
+				t.Fatalf("witness fails %v validation: %v", tc.m.Kind(), err)
+			}
+		})
+	}
+}
+
+// TestProbeFHWWitness runs the fhw probe's decider at level 3 on a
+// chorded grid, a non-bipartite block that stays in the fhw race. The
+// accepted HD, repriced by ρ*, must validate as an FHD whose width is
+// the largest ρ* of its bags.
+func TestProbeFHWWitness(t *testing.T) {
+	bh := hypergraph.Grid(3, 7)
+	bh.AddEdge("chord", "v0_0", "v1_1")
+	r := &race{bh: bh, opt: Options{Measure: FHW}, cancel: func() {}}
+	check, flush, err := laneFor(t, "probe", FHW).open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flush()
+	d, w, err := check(context.Background(), 3)
+	if err != nil || d == nil {
+		t.Fatalf("level 3: witness %v, err %v", d, err)
+	}
+	if err := d.Validate(decomp.FHD); err != nil {
+		t.Fatalf("probe witness fails FHD validation: %v", err)
+	}
+	maxRho := new(big.Rat)
+	for _, n := range d.Nodes {
+		if rho, _ := cover.FractionalEdgeCover(bh, n.Bag); rho.Cmp(maxRho) > 0 {
+			maxRho = rho
+		}
+	}
+	if w.Cmp(maxRho) != 0 || d.Width().Cmp(maxRho) != 0 {
+		t.Fatalf("width %s (witness %s), want max ρ*(bag) = %s", w.RatString(), d.Width().RatString(), maxRho.RatString())
+	}
+}
+
+// TestProbeGrid7x7 solves Grid(7,7), whose widths are 4, at a 1 s
+// budget. The deciders cannot refute level 3 in time, min-fill stops
+// above 4, and the probe accepts Check(HD,4) within its first budgets,
+// so every measure's upper bound is at most 4.
+func TestProbeGrid7x7(t *testing.T) {
+	h := hypergraph.Grid(7, 7)
+	for _, m := range []Measure{HW, GHW, FHW} {
+		t.Run(m.String(), func(t *testing.T) {
+			res, err := Solve(context.Background(), h, Options{Measure: m, Timeout: time.Second, Validate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Upper == nil || res.Upper.Cmp(lp.RI(4)) > 0 {
+				t.Fatalf("%v ∈ [%s, %v] by %q, want upper ≤ 4", m, res.Lower.RatString(), res.Upper, res.Strategy)
+			}
+		})
 	}
 }
 
@@ -161,9 +289,9 @@ func TestLaneRoster(t *testing.T) {
 		h.AddEdge("chord", "v0_0", "v1_1")
 		return h
 	}
-	ghwLarge := []string{"approx-logn", "bip", "detk", "minfill", "sat-ord"}
+	ghwLarge := []string{"bip", "detk", "minfill", "probe", "sat-ord"}
 	ghwSmall := append([]string{"exact-dp"}, ghwLarge...)
-	fhwLarge := []string{"approx-logn", "minfill", "sat-ord"}
+	fhwLarge := []string{"minfill", "probe", "sat-ord"}
 	fhwSmall := append([]string{"exact-dp"}, fhwLarge...)
 	for _, tc := range []struct {
 		name    string
@@ -171,8 +299,8 @@ func TestLaneRoster(t *testing.T) {
 		measure Measure
 		want    []string
 	}{
-		{"hw/clique5", hypergraph.Clique(5), HW, []string{"detk", "sat-ord-lb"}},
-		{"hw/grid5x5", hypergraph.Grid(5, 5), HW, []string{"detk", "sat-ord-lb"}},
+		{"hw/clique5", hypergraph.Clique(5), HW, []string{"detk", "probe", "sat-ord-lb"}},
+		{"hw/grid5x5", hypergraph.Grid(5, 5), HW, []string{"detk", "probe", "sat-ord-lb"}},
 		{"ghw/clique5", hypergraph.Clique(5), GHW, ghwSmall},
 		{"ghw/grid5x5", hypergraph.Grid(5, 5), GHW, ghwLarge},
 		{"fhw/grid3x4+chord", chorded(3, 4), FHW, fhwSmall},

@@ -78,7 +78,7 @@ func openSATOrdFHW(r *race) (levelCheck, func(), error) {
 			return nil, nil, err
 		}
 		for {
-			r.offerUpper(w, d, "sat-ord", ProvHeuristic)
+			r.offerUpper(w, d, "sat-ord")
 			d2, w2, err := s.RefineBelow(done, w)
 			if d2 == nil || err != nil {
 				return d, w, err

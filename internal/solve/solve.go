@@ -5,7 +5,7 @@
 // clique lower bounds, iterative deepening on Check(HD,k) and
 // Check(GHD,k)-via-BIP starting at the clique bound, the SAT ordering
 // encoding (LP-priced for fhw), the exact elimination DP for small
-// pieces, min-fill upper bounds —
+// pieces, min-fill upper bounds and a budgeted Check(HD,k) probe —
 // under context deadlines with a shared incumbent, recombination of the
 // per-piece witnesses into one validated decomposition, and a
 // fingerprint-keyed result cache (bounded by entries and by retained
@@ -109,42 +109,14 @@ type Options struct {
 // UNSAT sweeps) regardless of provenance.
 type Provenance string
 
-// The provenance ladder, strongest first.
 const (
 	// ProvExact: Lower == Upper with a witness attaining it.
 	ProvExact Provenance = "exact"
-	// ProvApproxCertified: the witness came from an approximation
-	// strategy with a published guarantee shape and a per-run
-	// structural certificate (internal/approx LogN, or improvement
-	// passes over such a witness).
-	ProvApproxCertified Provenance = "approx-certified"
-	// ProvHeuristic: the witness is sound (it validates) but carries no
-	// a-priori quality guarantee (min-fill, trivial single-bag covers,
-	// unproven deepening acceptances).
+	// ProvHeuristic: the witness is sound (it validates) but nothing
+	// proves it optimal (min-fill, trivial single-bag covers, probe and
+	// other unproven deepening acceptances).
 	ProvHeuristic Provenance = "heuristic"
 )
-
-// provRank orders provenances by guarantee strength.
-func provRank(p Provenance) int {
-	switch p {
-	case ProvExact:
-		return 2
-	case ProvApproxCertified:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// weakerProv returns the weaker of two provenances — the merge rule
-// across blocks: an interval is only as certified as its least
-// certified piece.
-func weakerProv(a, b Provenance) Provenance {
-	if provRank(b) < provRank(a) {
-		return b
-	}
-	return a
-}
 
 // PreStats reports what the preprocessing pipeline did.
 type PreStats struct {
@@ -169,9 +141,9 @@ type Result struct {
 	// Strategy names the portfolio strategy that produced the witness
 	// of the widest block.
 	Strategy string
-	// Provenance classifies the guarantee behind Upper: ProvExact,
-	// ProvApproxCertified or ProvHeuristic (weakest across blocks).
-	// Empty only in the no-witness degenerate case (Upper == nil).
+	// Provenance classifies the guarantee behind Upper: ProvExact when
+	// Exact, ProvHeuristic otherwise. Empty only in the no-witness
+	// degenerate case (Upper == nil).
 	Provenance Provenance
 	// Partial reports that the deadline or cancellation cut the search
 	// short; Lower/Upper still hold whatever was proven.
@@ -440,11 +412,10 @@ type piece struct {
 // block's single-bag trivial witness (always constructible — solveBlock
 // offers it uncancellably, so this fallback is defense in depth)
 // completes the stitch, the surviving per-block lower bounds and
-// partial witnesses are preserved, and only Exact/Provenance degrade.
+// partial witnesses are preserved, and only Exact degrades.
 func mergeBlocks(res *Result, h *hypergraph.Hypergraph, pieces []piece, opt Options) error {
 	res.Lower = new(big.Rat)
 	res.Exact = true
-	res.Provenance = ProvExact
 	haveAll := true
 	var parts []decomp.Part
 	for i := range pieces {
@@ -457,7 +428,7 @@ func mergeBlocks(res *Result, h *hypergraph.Hypergraph, pieces []piece, opt Opti
 		if b.witness == nil {
 			if d := trivialDecomp(pieces[i].bh); d != nil {
 				b.witness, b.upper = d, d.Width()
-				b.strategy, b.prov = "trivial-ub", ProvHeuristic
+				b.strategy = "trivial-ub"
 				b.exact, b.partial = false, true
 				res.Exact, res.Partial = false, true
 			} else {
@@ -472,12 +443,15 @@ func mergeBlocks(res *Result, h *hypergraph.Hypergraph, pieces []piece, opt Opti
 			res.Upper = b.upper
 			res.Strategy = b.strategy
 		}
-		res.Provenance = weakerProv(res.Provenance, b.prov)
 		parts = append(parts, decomp.Part{D: b.witness, VertexMap: pieces[i].vmap, EdgeMap: pieces[i].emap})
 	}
 	if !haveAll {
-		res.Upper, res.Witness, res.Provenance = nil, nil, ""
+		res.Upper, res.Witness = nil, nil
 		return nil
+	}
+	res.Provenance = ProvHeuristic
+	if res.Exact {
+		res.Provenance = ProvExact
 	}
 	w, err := decomp.Combine(h, parts)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/lp"
 	"hypertree/internal/telemetry"
 )
 
@@ -135,47 +134,6 @@ func TestTelemetryTotals(t *testing.T) {
 	}
 	if wins == 0 {
 		t.Fatalf("no strategy wins recorded: %+v", mWins.Values())
-	}
-}
-
-// TestImproveWitnessTraced runs the improvement rung over the single-bag
-// witness of the 4×4 grid (width 8) in a traced race. The rung must
-// reach the grid's width 4, and its runs, passes and tightening passes
-// must land in the trace exactly as they land in the process totals
-// and the per-rung hg_approx_runs_total.
-func TestImproveWitnessTraced(t *testing.T) {
-	for _, m := range []Measure{GHW, FHW} {
-		t.Run(m.String(), func(t *testing.T) {
-			bh := hypergraph.Grid(4, 4)
-			base := trivialDecomp(bh)
-			if w := base.Width(); w.Cmp(lp.RI(8)) != 0 {
-				t.Fatalf("trivial witness width %v, want 8", w)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			tr := telemetry.NewTrace()
-			r := &race{bh: bh, opt: Options{Measure: m}, tr: tr, cancel: cancel}
-			before, runsBefore := telemetry.Totals(), mApproxRuns.Values()["improve"]
-			improveWitness(ctx, r, base, ProvHeuristic)
-			after, runsAfter := telemetry.Totals(), mApproxRuns.Values()["improve"]
-
-			if r.res.upper == nil || r.res.upper.Cmp(lp.RI(4)) != 0 {
-				t.Fatalf("improved upper %v, want 4", r.res.upper)
-			}
-			c := tr.Summary().Counters
-			if c.ApproxRuns != 1 || c.ApproxImprovePasses < 1 || c.ApproxImproved < 1 {
-				t.Fatalf("trace counters %+v, want approx_runs 1, improve_passes ≥ 1, improved ≥ 1", c)
-			}
-			if d := after.ApproxImproved - before.ApproxImproved; d != c.ApproxImproved {
-				t.Errorf("hg_approx_improved_total moved by %d, trace says %d", d, c.ApproxImproved)
-			}
-			if d := after.ApproxImprovePasses - before.ApproxImprovePasses; d != c.ApproxImprovePasses {
-				t.Errorf("hg_approx_improve_passes_total moved by %d, trace says %d", d, c.ApproxImprovePasses)
-			}
-			if d := runsAfter - runsBefore; d != c.ApproxRuns {
-				t.Errorf("hg_approx_runs_total{rung=\"improve\"} moved by %d, trace says %d", d, c.ApproxRuns)
-			}
-		})
 	}
 }
 

@@ -14,14 +14,13 @@ import (
 )
 
 // Counters is the aggregate block of what a solve's engine runs, cover
-// LPs, SAT calls, approximation rungs and caches did, summed over every
-// strategy and block. A Trace holds one per request; the process holds
-// one total (Totals). Field groups follow the metric families
-// (OBSERVABILITY.md): engine memo behavior, DynComponents reuse,
-// cover-LP path mix (float-first or cold rational), the result-cache
-// pair, sat-ord's CDCL work and the approximation ladder. BasisHits and
-// BasisMisses are never set; they stay only because the repository
-// benchmark compiles against them.
+// LPs, SAT calls and caches did, summed over every strategy and block.
+// A Trace holds one per request; the process holds one total (Totals).
+// Field groups follow the metric families (OBSERVABILITY.md): engine
+// memo behavior, DynComponents reuse, cover-LP path mix (float-first or
+// cold rational), the result-cache pair and sat-ord's CDCL work.
+// BasisHits and BasisMisses are never set; they stay only because the
+// repository benchmark compiles against them.
 type Counters struct {
 	EngineRuns        int64 `json:"engine_runs,omitempty"`
 	EngineSubproblems int64 `json:"engine_subproblems,omitempty"`
@@ -48,11 +47,6 @@ type Counters struct {
 	SATBlocked      int64 `json:"sat_blocked,omitempty"`
 	SATPricedBags   int64 `json:"sat_priced_bags,omitempty"`
 	SATRebuilds     int64 `json:"sat_rebuilds,omitempty"`
-
-	ApproxRuns          int64 `json:"approx_runs,omitempty"`
-	ApproxSepRetries    int64 `json:"approx_sep_retries,omitempty"`
-	ApproxImprovePasses int64 `json:"approx_improve_passes,omitempty"`
-	ApproxImproved      int64 `json:"approx_improved,omitempty"`
 }
 
 // add accumulates o into c.
@@ -78,10 +72,6 @@ func (c *Counters) add(o Counters) {
 	c.SATBlocked += o.SATBlocked
 	c.SATPricedBags += o.SATPricedBags
 	c.SATRebuilds += o.SATRebuilds
-	c.ApproxRuns += o.ApproxRuns
-	c.ApproxSepRetries += o.ApproxSepRetries
-	c.ApproxImprovePasses += o.ApproxImprovePasses
-	c.ApproxImproved += o.ApproxImproved
 }
 
 // totals is the process-wide sum of every published delta.
@@ -117,9 +107,7 @@ type counterRow struct {
 }
 
 // counterRows is the /metrics view of the totals. Fields without a row
-// (lp_solves, basis_hits, basis_misses, approx_runs) are trace-only:
-// approx_runs is exposed per rung by a labelled family registered in
-// internal/solve.
+// (lp_solves, basis_hits, basis_misses) are trace-only.
 var counterRows = []counterRow{
 	{"hg_engine_runs_total", "", "cover-oracle engine runs (one per Check(·,k) invocation)", func(c *Counters) int64 { return c.EngineRuns }},
 	{"hg_engine_subproblems_total", "", "memoized subproblems computed by the engine", func(c *Counters) int64 { return c.EngineSubproblems }},
@@ -139,9 +127,6 @@ var counterRows = []counterRow{
 	{"hg_sat_blocking_clauses_total", "", "guarded blocking clauses installed by the fhw LP-hybrid path", func(c *Counters) int64 { return c.SATBlocked }},
 	{"hg_sat_priced_bags_total", "", "decoded bags priced through the cover LP by the fhw path", func(c *Counters) int64 { return c.SATPricedBags }},
 	{"hg_sat_rebuilds_total", "", "encoder rebuilds that discarded learned clauses (kCap growth)", func(c *Counters) int64 { return c.SATRebuilds }},
-	{"hg_approx_sep_retries_total", "", "separator budget doublings across approx-logn runs", func(c *Counters) int64 { return c.ApproxSepRetries }},
-	{"hg_approx_improve_passes_total", "", "local-improvement passes over incumbent decompositions", func(c *Counters) int64 { return c.ApproxImprovePasses }},
-	{"hg_approx_improved_total", "", "improvement passes that strictly tightened the incumbent width", func(c *Counters) int64 { return c.ApproxImproved }},
 }
 
 // totalsFamily is one family of counterRows, registered as one metric

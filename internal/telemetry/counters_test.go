@@ -14,7 +14,7 @@ import (
 func TestPublish(t *testing.T) {
 	before := Totals()
 	tr := NewTrace()
-	Publish(tr, Counters{EngineRuns: 1, LPFloat: 3, LPCold: 2, ApproxImproved: 1})
+	Publish(tr, Counters{EngineRuns: 1, LPFloat: 3, LPCold: 2, SATSolves: 1})
 	Publish(nil, Counters{EngineRuns: 1})
 	after := Totals()
 	if d := after.EngineRuns - before.EngineRuns; d != 2 {
@@ -23,7 +23,7 @@ func TestPublish(t *testing.T) {
 	if d := after.LPFloat - before.LPFloat; d != 3 {
 		t.Fatalf("LPFloat total moved by %d, want 3", d)
 	}
-	if c := tr.Summary().Counters; c.EngineRuns != 1 || c.LPFloat != 3 || c.LPCold != 2 || c.ApproxImproved != 1 {
+	if c := tr.Summary().Counters; c.EngineRuns != 1 || c.LPFloat != 3 || c.LPCold != 2 || c.SATSolves != 1 {
 		t.Fatalf("trace counters = %+v, want the first delta only", c)
 	}
 

@@ -6,7 +6,7 @@ package telemetry
 // Producers (internal/solve) record preprocessing stats, each portfolio
 // strategy's start/stop with wall time, every iterative-deepening
 // k-step, cache lookups, and — through Publish — the engine, cover-LP,
-// SAT, approximation and cache Counters their request actually
+// SAT and cache Counters their request actually
 // incurred. Consumers render it three ways: hgserve embeds the
 // Summary in /width and /decompose responses under ?trace=1 and in its
 // access log, hgwidth -stats prints it through WriteText, and the
@@ -200,8 +200,4 @@ func (s *Summary) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "  lp: solves=%d float=%d cold=%d\n", c.LPSolves, c.LPFloat, c.LPCold)
 	fmt.Fprintf(w, "  caches: result=%d/%d\n",
 		c.ResultCacheHits, c.ResultCacheHits+c.ResultCacheMisses)
-	if c.ApproxRuns > 0 || c.ApproxImprovePasses > 0 {
-		fmt.Fprintf(w, "  approx: runs=%d sep_retries=%d improve_passes=%d improved=%d\n",
-			c.ApproxRuns, c.ApproxSepRetries, c.ApproxImprovePasses, c.ApproxImproved)
-	}
 }
