@@ -64,26 +64,6 @@ func CheckHDOptCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, opt Opt
 	return d, nil
 }
 
-// HWCtx is HW under a context. On cancellation it returns the highest k
-// proven infeasible so far plus one as a lower bound (lb ≥ 1; the start
-// level is backed by the clique bound of Lemma 2.8), with a nil witness
-// and ctx.Err().
-func HWCtx(ctx context.Context, h *hypergraph.Hypergraph, maxK int) (lb int, d *decomp.Decomp, err error) {
-	if maxK <= 0 {
-		maxK = h.NumEdges()
-	}
-	for k := cliqueStartK(h); k <= maxK; k++ {
-		d, err := CheckHDCtx(ctx, h, k)
-		if err != nil {
-			return k, nil, err
-		}
-		if d != nil {
-			return k, d, nil
-		}
-	}
-	return maxK + 1, nil, nil
-}
-
 // ExactGHWCtx is ExactGHW under a context.
 func ExactGHWCtx(ctx context.Context, h *hypergraph.Hypergraph) (w int, d *decomp.Decomp, err error) {
 	if err := ctx.Err(); err != nil {

@@ -31,10 +31,6 @@ func TestCtxVariantsMatchDirect(t *testing.T) {
 	if err != nil || f.Cmp(wantF) != 0 {
 		t.Fatalf("ExactFHWCtx = (%s, %v), want %s", f.RatString(), err, wantF.RatString())
 	}
-	lb, d, err := HWCtx(ctx, h, 0)
-	if err != nil || d == nil || lb != 3 {
-		t.Fatalf("HWCtx = (%d, %v, %v), want hw 3", lb, d != nil, err)
-	}
 }
 
 // TestCancellationUnwinds: an expired context aborts the searches

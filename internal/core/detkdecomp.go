@@ -242,7 +242,7 @@ func checkHD(h *hypergraph.Hypergraph, k int, done <-chan struct{}, opt Options)
 // infeasible for the integral measures hw and ghw (ρ is not an fhw
 // lower bound — ρ(K3) = 2 > fhw(K3) = 3/2; the fractional portfolio
 // uses FHWLowerBound instead). The preamble is strictly bounded so the
-// cancellable entry points (HWCtx, GHWViaBIP deepening) cannot stall
+// deepening loops (HW, GHWViaBIP) cannot stall
 // before their first poll: clique enumeration stops after a fixed
 // number of cliques and each per-clique cover search is size-capped;
 // both truncations only lower the start level, never raise it above

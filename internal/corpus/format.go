@@ -42,20 +42,6 @@ func (f Format) String() string {
 	return "unknown"
 }
 
-// ParseFormat parses a format name as used on command lines: "edgelist"
-// (aliases "hg", "detk"), "pace" (alias "htd") or "json".
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "edgelist", "hg", "detk", "detkdecomp", "native":
-		return FormatEdgeList, nil
-	case "pace", "htd":
-		return FormatPACE, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return FormatUnknown, fmt.Errorf("corpus: unknown format %q (want edgelist, pace or json)", s)
-}
-
 // FormatForPath guesses the format from a file extension. Unknown
 // extensions return FormatUnknown; callers then sniff the content.
 func FormatForPath(path string) Format {

@@ -152,21 +152,6 @@ func TestDecodeJSONBareArray(t *testing.T) {
 	}
 }
 
-func TestParseFormat(t *testing.T) {
-	for s, want := range map[string]Format{
-		"edgelist": FormatEdgeList, "hg": FormatEdgeList, "detk": FormatEdgeList,
-		"pace": FormatPACE, "htd": FormatPACE, "json": FormatJSON,
-	} {
-		got, err := ParseFormat(s)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseFormat("gml"); err == nil {
-		t.Error("ParseFormat accepted gml")
-	}
-}
-
 func TestFormatForPath(t *testing.T) {
 	for path, want := range map[string]Format{
 		"a/b/grid.hg": FormatEdgeList, "x.HTD": FormatPACE, "y.json": FormatJSON,

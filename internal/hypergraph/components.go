@@ -113,14 +113,3 @@ func (h *Hypergraph) ComponentsOfWith(sc *CompScratch, c VertexSet, scope Vertex
 func (h *Hypergraph) IsConnected() bool {
 	return len(h.ComponentsOf(NewVertexSet(h.NumVertices()), nil)) <= 1
 }
-
-// ConnectedTo reports whether the vertex sets a and b are joined by a
-// [C]-path in H.
-func (h *Hypergraph) ConnectedTo(a, b, c VertexSet) bool {
-	for _, comp := range h.ComponentsOf(c, nil) {
-		if comp.Intersects(a) && comp.Intersects(b) {
-			return true
-		}
-	}
-	return a.Diff(c).Intersects(b.Diff(c))
-}

@@ -118,15 +118,6 @@ func (h *Hypergraph) Vertices() VertexSet {
 	return s
 }
 
-// EdgeIDs returns all edge indices.
-func (h *Hypergraph) EdgeIDs() []int {
-	ids := make([]int, h.NumEdges())
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
 // EdgesWithVertex returns the indices of the edges containing v.
 func (h *Hypergraph) EdgesWithVertex(v int) []int {
 	es := h.IncidentEdges(v).Edges()

@@ -81,9 +81,6 @@ func (h *Hypergraph) IncidentEdges(v int) EdgeSet {
 	return h.inc[v]
 }
 
-// DegreeOf returns the number of edges containing v.
-func (h *Hypergraph) DegreeOf(v int) int { return h.IncidentEdges(v).Count() }
-
 // EdgesIntersectingSet writes into buf the set of edges e with e ∩ c ≠ ∅
 // (edges(C) in the paper) and returns it. buf is reset and grown as
 // needed; passing a buffer of NumEdges() capacity makes the call

@@ -36,8 +36,8 @@ func TestConcurrentLazyIndexBuild(t *testing.T) {
 								t.Error("EdgesIntersectingSet: empty")
 							}
 						case 2:
-							if h.DegreeOf(0) <= 0 {
-								t.Error("DegreeOf(0) <= 0")
+							if h.IncidentEdges(0).Count() <= 0 {
+								t.Error("IncidentEdges(0): empty")
 							}
 						case 3:
 							if h.CoveringEdge(h.Edge(0)) < 0 {

@@ -132,7 +132,11 @@ func TestBipartiteFHWEqualsGHW(t *testing.T) {
 			}
 			// One block with every edge kept: the block is the input's
 			// edges extracted in order, as the pipeline extracts it.
-			bh, _, _ := h.ExtractEdges(h.EdgeIDs())
+			es := make([]int, h.NumEdges())
+			for i := range es {
+				es[i] = i
+			}
+			bh, _, _ := h.ExtractEdges(es)
 			colour := make([]bool, bh.NumVertices())
 			for _, v := range evs[0].class {
 				colour[v] = true
@@ -184,8 +188,8 @@ func TestBipartiteGuards(t *testing.T) {
 
 // TestBipartiteGlueRoutesOnlyGridBlock: a 5×6 grid with a triangle glued
 // at a cut vertex splits into two blocks. The grid block runs the ghw
-// race (its lanes include detk), the triangle block keeps the fhw race
-// (no detk, no bip), and the whole closes at fhw 3.
+// race (its lanes include bip), the triangle block keeps the fhw race
+// (no bip), and the whole closes at fhw 3.
 func TestBipartiteGlueRoutesOnlyGridBlock(t *testing.T) {
 	h := hypergraph.Grid(5, 6)
 	h.AddEdge("t1", "v0_0", "x")
@@ -208,10 +212,10 @@ func TestBipartiteGlueRoutesOnlyGridBlock(t *testing.T) {
 		t.Fatalf("want one routed 15/15 grid block, got %+v", evs)
 	}
 	grid, tri := evs[0].block, 1-evs[0].block
-	if !startedOn(sum, grid)["detk"] {
+	if !startedOn(sum, grid)["bip"] {
 		t.Fatalf("routed grid block ran no ghw lanes: %v", startedOn(sum, grid))
 	}
-	if s := startedOn(sum, tri); s["detk"] || s["bip"] || !s["minfill"] {
+	if s := startedOn(sum, tri); s["bip"] || !s["minfill"] {
 		t.Fatalf("triangle block left the fhw race: %v", s)
 	}
 }

@@ -244,13 +244,6 @@ func (c *Cache) putEntry(k Key, e *entry) {
 	}
 }
 
-// Len returns the number of cached results.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats returns hit/miss counters, the current size and the approximate
 // retained bytes.
 func (c *Cache) Stats() CacheStats {

@@ -85,7 +85,7 @@ func TestCacheSkipsPartial(t *testing.T) {
 	c := NewCache(0, 0)
 	k := KeyFor(HW, hypergraph.Clique(3))
 	c.Put(k, &Result{Exact: false})
-	if c.Len() != 0 {
+	if c.Stats().Size != 0 {
 		t.Fatal("partial result was cached")
 	}
 }
@@ -96,8 +96,8 @@ func TestCacheEviction(t *testing.T) {
 		h := hypergraph.Path(i + 2)
 		c.Put(KeyFor(HW, h), &Result{Exact: true})
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2 after eviction", c.Len())
+	if c.Stats().Size != 2 {
+		t.Fatalf("len = %d, want 2 after eviction", c.Stats().Size)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestCacheRejectsOversizedEntry(t *testing.T) {
 	h := hypergraph.Path(40)
 	k, relabel := canonKey(Options{Measure: HW}, h)
 	c.putEntry(k, &entry{res: &Result{Exact: true}, h: h, relabel: relabel})
-	if c.Len() != 0 {
+	if c.Stats().Size != 0 {
 		t.Fatal("entry larger than the whole budget must not be cached")
 	}
 }

@@ -134,11 +134,11 @@ func TestSolveIntervalUnderPressure(t *testing.T) {
 }
 
 // TestGHWDetkLaneDifferential is the soundness differential for the
-// detk upper-bound lane of the ghw race. With the exact DP and sat-ord
-// gated off, bip, detk, minfill and probe race on every golden corpus
-// instance; a detk witness may close the race only against a lower
-// bound proven by another lane, so every result must be exact and equal
-// to the golden ghw.
+// det-k-decomp (Check(HD,k)) upper bounds of the ghw race, which the
+// probe supplies. With the exact DP and sat-ord gated off, bip, minfill
+// and probe race on every golden corpus instance; a probe witness may
+// close the race only against a lower bound proven by another lane, so
+// every result must be exact and equal to the golden ghw.
 func TestGHWDetkLaneDifferential(t *testing.T) {
 	golden := contractGolden(t)
 	ins, err := corpus.LoadDir(contractCorpusDir)

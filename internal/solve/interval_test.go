@@ -37,11 +37,12 @@ func TestTrivialDecompAllMeasures(t *testing.T) {
 	}
 }
 
-// TestMergeBlocksPreservesInterval pins the satellite bugfix: a block
-// whose budget expired before any witness no longer drops the solve's
-// upper bound or discards the other blocks' work — the merge fabricates
-// the block's trivial witness, completes the stitch, and degrades only
-// Exact/Partial/Provenance.
+// TestMergeBlocksPreservesInterval: a block whose budget expired with
+// only its single-bag witness, the one solveBlock offers before its
+// race, does not drop the solve's upper bound or discard the other
+// blocks' work — the merge completes the stitch and degrades only
+// Exact/Partial/Provenance. A block without a witness cannot come out of
+// solveBlock, and the merge reports it as an internal error.
 func TestMergeBlocksPreservesInterval(t *testing.T) {
 	h := hypergraph.MustParse("e1(a,b), e2(b,c), e3(c,a), f1(p,q), f2(q,r)")
 	p := simplify(h, GHW, false)
@@ -59,7 +60,8 @@ func TestMergeBlocksPreservesInterval(t *testing.T) {
 		t.Fatalf("toy block not solved exactly: %+v", pieces[0].out)
 	}
 	for i := 1; i < len(pieces); i++ {
-		pieces[i].out = blockResult{lower: lp.RI(1), partial: true}
+		d := trivialDecomp(pieces[i].bh)
+		pieces[i].out = blockResult{lower: lp.RI(1), upper: d.Width(), witness: d, partial: true, strategy: "trivial-ub"}
 	}
 
 	res := &Result{Measure: GHW}
@@ -86,6 +88,11 @@ func TestMergeBlocksPreservesInterval(t *testing.T) {
 	}
 	if err := res.Witness.Validate(GHW.Kind()); err != nil {
 		t.Fatalf("stitched fallback witness invalid: %v", err)
+	}
+
+	pieces[1].out = blockResult{lower: lp.RI(1), partial: true}
+	if err := mergeBlocks(&Result{Measure: GHW}, h, pieces, Options{Measure: GHW}); err == nil {
+		t.Fatal("merged a block without a witness")
 	}
 }
 

@@ -30,8 +30,9 @@ import (
 //	ghw:  Check(GHD,k) and the ghw encoding decide ghw, so their
 //	      deepening is exact. Check(HD,k) is polynomial where
 //	      Check(GHD,k) needs subedge augmentation, and every HD is a
-//	      GHD, so it offers cheap upper bounds; on blocks with ghw = hw
-//	      the deciders then only have to refute the levels under them.
+//	      GHD, so the probe below offers cheap upper bounds; on blocks
+//	      with ghw = hw the deciders then only have to refute the
+//	      levels under them.
 //	fhw:  a bipartite block of rank ≤ 2 (a grid, an even cycle, a CQ
 //	      with binary atoms) runs the ghw race: its incidence matrix is
 //	      totally unimodular, so every bag's cover LP has an integral
@@ -48,13 +49,19 @@ import (
 // at or just above the width and spends its time refuting, so a level
 // whose timer fires is skipped and the first acceptance is an anytime
 // upper bound for all three measures: an HD is a GHD, and repricing its
-// bags by ρ* turns it into an FHD of no larger width.
+// bags by ρ* turns it into an FHD of no larger width. Under ghw and fhw
+// a refutation proves nothing about the width, so the probe is the
+// race's only Check(HD,k) lane: after its first acceptance it retries
+// the levels it skipped, top down and without a timer, until a
+// refutation. Under hw a refutation is a lower bound, and the unbudgeted
+// detk row keeps the refutation frontier to itself; a descent
+// competing with it for a CPU costs lower bounds.
 
 // blockResult carries the outcome for one block.
 type blockResult struct {
 	lower    *big.Rat
-	upper    *big.Rat       // nil if no witness was found within budget
-	witness  *decomp.Decomp // over the block hypergraph
+	upper    *big.Rat       // the witness's width
+	witness  *decomp.Decomp // over the block hypergraph; solveBlock always offers one
 	exact    bool
 	partial  bool // the budget expired before exactness
 	strategy string
@@ -218,6 +225,10 @@ func solveBlock(ctx context.Context, bh *hypergraph.Hypergraph, opt Options, blk
 	if d := trivialDecomp(bh); d != nil {
 		r.offerUpper(d.Width(), d, "trivial-ub")
 	}
+	// Closed before the race: no lane has anything left to prove.
+	if r.res.exact {
+		return r.res
+	}
 
 	var wg sync.WaitGroup
 	for i := range lanes {
@@ -334,8 +345,6 @@ var lanes = []lane{
 	// hw: Check(HD,k) decides hw, so a rejection is a lower bound and
 	// the first acceptance is exact.
 	{name: "detk", measures: []Measure{HW}, open: openEngine(core.CheckHDOptCtx), yes: proofExact, no: proofLowerNext},
-	// ghw ≤ hw: a rejection proves nothing, an acceptance is a witness.
-	{name: "detk", measures: []Measure{GHW}, open: openEngine(core.CheckHDOptCtx), yes: proofUpper, no: proofNone},
 	{name: "minfill", measures: []Measure{GHW}, run: func(ctx context.Context, r *race) {
 		w, d, err := core.MinFillGHDCtx(ctx, r.bh)
 		offerMinFill(ctx, r, lp.RI(int64(w)), d, err)
@@ -346,8 +355,8 @@ var lanes = []lane{
 	}},
 	// The probe works above the lower bound, so an acceptance is an
 	// upper bound. Under hw a refutation inside the budget is a lower
-	// bound; under ghw it proves nothing; under fhw the accepted HD's
-	// bags are repriced by ρ*.
+	// bound; under ghw and fhw it proves nothing, and the probe
+	// descends; under fhw the accepted HD's bags are repriced by ρ*.
 	{name: "probe", measures: []Measure{HW}, budget: probeBudget, open: openEngine(core.CheckHDOptCtx), yes: proofUpper, no: proofLowerNext},
 	{name: "probe", measures: []Measure{GHW}, budget: probeBudget, open: openEngine(core.CheckHDOptCtx), yes: proofUpper, no: proofNone},
 	{name: "probe", measures: []Measure{FHW}, budget: probeBudget, open: openProbeFHW, yes: proofUpper, no: proofNone},
@@ -380,7 +389,8 @@ func (l *lane) runIn(ctx context.Context, r *race) {
 // refuting lane starts each level with lower ≥ k, so upper ≤ k means the
 // race has closed, or that an upper-bound lane could at best re-find the
 // incumbent's width. Under fhw an upper bound ≤ k may be fractional, and
-// the level can still tighten or certify it.
+// the level can still tighten or certify it. A budgeted lane whose
+// refutations prove nothing descends after its first acceptance.
 func deepen(ctx context.Context, l *lane, r *race) {
 	check, flush, err := l.open(r)
 	if err != nil {
@@ -392,6 +402,7 @@ func deepen(ctx context.Context, l *lane, r *race) {
 	if l.budget > 0 {
 		above = 1
 	}
+	floor := 0 // the decider refuted every level below it
 	for k := r.snapshotLower() + above; k <= r.bh.NumEdges(); k = max(k+1, r.snapshotLower()+above) {
 		if integral && r.upperBelow(k) {
 			return
@@ -417,12 +428,39 @@ func deepen(ctx context.Context, l *lane, r *race) {
 			case proofUpper:
 				r.offerUpper(w, d, l.name)
 			}
+			if l.budget > 0 && l.no == proofNone {
+				descend(ctx, l, r, check, k-1, floor)
+			}
 			return
-		case l.no == proofLowerNext:
+		}
+		floor = k + 1
+		switch l.no {
+		case proofLowerNext:
 			r.raiseLower(lp.RI(int64(k+1)), l.name)
-		case l.no == proofLowerClosed:
+		case proofLowerClosed:
 			r.raiseLower(lp.RI(int64(k)), l.name)
 		}
+	}
+}
+
+// descend retries the levels a budgeted upper-bound lane skipped, from
+// k down to its floor or the race's lower bound, unbudgeted on the race
+// context, publishing each acceptance. Check(HD,k) refuting k refutes
+// every lower level, so the first refutation ends the descent, and in
+// the integral races a level at or above the incumbent is passed over.
+func descend(ctx context.Context, l *lane, r *race, check levelCheck, k, floor int) {
+	integral := r.opt.Measure != FHW
+	for ; k >= max(floor, r.snapshotLower()); k-- {
+		if integral && r.upperBelow(k) {
+			continue
+		}
+		mDeepenSteps.With(l.name).Inc()
+		r.tr.Deepen(r.blk, l.name, k)
+		d, w, err := check(ctx, k)
+		if err != nil || d == nil {
+			return
+		}
+		r.offerUpper(w, d, l.name)
 	}
 }
 

@@ -29,25 +29,26 @@ func laneFor(t *testing.T, name string, m Measure) *lane {
 	return nil
 }
 
-// TestDeepenHDGHWMode drives the detk lane of the ghw race directly.
+// TestDeepenHDGHWMode drives the probe row of the ghw race directly.
 // Under ghw a rejected Check(HD,k) level proves nothing (ghw ≤ hw), so
-// the lane must leave the lower bound alone and publish its accepted
-// level as a heuristic upper bound; and it must attempt no level at or
-// above an incumbent upper bound.
+// the probe must leave the lower bound alone and publish its accepted
+// level as a heuristic upper bound, descend from it until a refutation,
+// and attempt no level at or above an incumbent upper bound.
 func TestDeepenHDGHWMode(t *testing.T) {
 	bh := hypergraph.Grid(4, 4) // hw = ghw = 3: k=2 rejects, k=3 accepts
 	opt := Options{Measure: GHW}
-	detk := laneFor(t, "detk", GHW)
+	probe := *laneFor(t, "probe", GHW)
+	probe.budget = time.Minute // the proofs under test, not the timer
 
 	ctx, tr := telemetry.WithTrace(context.Background())
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &race{bh: bh, opt: opt, tr: tr, cancel: cancel}
 	r.res.lower = lp.RI(2)
-	deepen(ctx, detk, r)
+	deepen(ctx, &probe, r)
 
-	if r.res.upper == nil || r.res.upper.Cmp(lp.RI(3)) != 0 || r.res.strategy != "detk" {
-		t.Fatalf("upper = %v by %q, want 3 by detk", r.res.upper, r.res.strategy)
+	if r.res.upper == nil || r.res.upper.Cmp(lp.RI(3)) != 0 || r.res.strategy != "probe" {
+		t.Fatalf("upper = %v by %q, want 3 by probe", r.res.upper, r.res.strategy)
 	}
 	if r.res.exact {
 		t.Fatal("race closed, want an inexact upper bound")
@@ -63,15 +64,15 @@ func TestDeepenHDGHWMode(t *testing.T) {
 	if r.res.lower.Cmp(lp.RI(2)) != 0 {
 		t.Fatalf("lower = %s, want 2: a ghw-mode rejection must raise nothing", r.res.lower.RatString())
 	}
-	if got := tr.Summary().KTrajectory("detk"); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("detk trajectory %v, want [2 3]", got)
+	if got := tr.Summary().KTrajectory("probe"); !slices.Equal(got, []int{3, 2}) {
+		t.Fatalf("probe trajectory %v, want [3 2]", got)
 	}
 
 	// Incumbent upper bound already at the lower bound: nothing to do.
 	ctx2, tr2 := telemetry.WithTrace(context.Background())
 	r2 := &race{bh: bh, opt: opt, tr: tr2, cancel: func() {}}
 	r2.res.lower, r2.res.upper = lp.RI(2), lp.RI(2)
-	deepen(ctx2, detk, r2)
+	deepen(ctx2, &probe, r2)
 	if n := kinds(tr2.Summary())["deepen"]; n != 0 {
 		t.Fatalf("%d deepen events with upper = lower, want 0", n)
 	}
@@ -86,8 +87,9 @@ func TestDeepenHDGHWMode(t *testing.T) {
 // level 2, which that bound already refutes: no deepen event may sit
 // below the lower bound the race held when its level started. An
 // unbudgeted row starts at the lower bound, 1; a budgeted row (the
-// probe) starts one above it and stays one above it after the skip. On
-// Grid(4,4) hw = ghw = fhw = 3.
+// probe) starts one above it and stays one above it after the skip.
+// Under ghw and fhw the probe then descends to level 3, which the
+// bound leaves open. On Grid(4,4) hw = ghw = fhw = 3.
 func TestDeepenSkipsRefutedLevels(t *testing.T) {
 	var names []string
 	for _, l := range lanes {
@@ -146,15 +148,21 @@ func testDeepenSkips(t *testing.T, row *lane, m Measure) {
 		}
 	}
 	want := []int{1, 3}
-	if l.budget > 0 {
+	switch {
+	case l.budget > 0 && l.no == proofNone:
+		want = []int{2, 4, 3}
+	case l.budget > 0:
 		want = []int{2, 4}
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s trajectory %v, want %v", l.name, got, want)
 	}
 	// A witness at level 3 meets the lower bound and closes the race; a
-	// budgeted row's witness at level 4 is an upper bound above it.
+	// budgeted row's witness at level 4 is an upper bound above it, and
+	// a descending row's witness at level 3 closes the race.
 	switch closes := l.yes != proofNone; {
+	case l.budget > 0 && l.no == proofNone && (!r.res.exact || r.res.strategy != l.name || r.res.upper.Cmp(lp.RI(3)) != 0):
+		t.Fatalf("race = exact %v, upper %v by %q, want exact 3 by %s", r.res.exact, r.res.upper, r.res.strategy, l.name)
 	case l.budget > 0 && (r.res.strategy != l.name || r.res.upper.Cmp(lp.RI(4)) > 0 || r.res.lower.Cmp(lp.RI(3)) != 0):
 		t.Fatalf("race = lower %s, upper %v by %q; want lower 3, upper ≤ 4 by %s", r.res.lower.RatString(), r.res.upper, r.res.strategy, l.name)
 	case l.budget > 0:
@@ -167,24 +175,27 @@ func testDeepenSkips(t *testing.T, row *lane, m Measure) {
 
 // TestDeepenBudgetSkipsTimedOutLevels drives the probe row with a
 // decider that, at level 2 (one above the race's lower bound 1), either
-// blocks until its level's timer fires or refutes at once, and accepts
+// blocks until its context ends or refutes at once, and accepts
 // Check(HD,k) at every later level. On Grid(4,4), hw = 3. A timed-out
 // level proves nothing under any measure: the lower bound stays 1 and
-// the next level, 3, yields the upper bound 3. A refutation inside the
-// budget raises the hw lower bound to 3, so the probe goes on at 4; under
-// ghw it proves nothing and the probe goes on at 3.
+// the next level, 3, yields the upper bound 3. The ghw probe then
+// retries level 2 on the race context, which blocks until the race's
+// own deadline. A refutation inside the budget raises the hw lower
+// bound to 3, so the probe goes on at 4; under ghw it proves nothing,
+// the probe goes on at 3, and the refutation leaves nothing to retry.
 func TestDeepenBudgetSkipsTimedOutLevels(t *testing.T) {
 	bh := hypergraph.Grid(4, 4)
 	for _, tc := range []struct {
 		m          Measure
 		refute     bool
 		lower      int64
+		upper      int64
 		trajectory []int
 	}{
-		{HW, false, 1, []int{2, 3}},
-		{GHW, false, 1, []int{2, 3}},
-		{HW, true, 3, []int{2, 4}},
-		{GHW, true, 1, []int{2, 3}},
+		{HW, false, 1, 3, []int{2, 3}},
+		{GHW, false, 1, 3, []int{2, 3, 2}},
+		{HW, true, 3, 4, []int{2, 4}},
+		{GHW, true, 1, 3, []int{2, 3}},
 	} {
 		name := tc.m.String() + "/timeout"
 		if tc.refute {
@@ -206,7 +217,7 @@ func TestDeepenBudgetSkipsTimedOutLevels(t *testing.T) {
 				}, func() {}, nil
 			}
 			ctx, tr := telemetry.WithTrace(context.Background())
-			ctx, cancel := context.WithCancel(ctx)
+			ctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
 			defer cancel()
 			r := &race{bh: bh, opt: Options{Measure: tc.m}, tr: tr, cancel: cancel}
 			r.res.lower = lp.RI(1)
@@ -218,12 +229,68 @@ func TestDeepenBudgetSkipsTimedOutLevels(t *testing.T) {
 			if r.res.lower.Cmp(lp.RI(tc.lower)) != 0 {
 				t.Fatalf("lower = %s, want %d", r.res.lower.RatString(), tc.lower)
 			}
-			last := tc.trajectory[len(tc.trajectory)-1]
-			if r.res.upper == nil || r.res.upper.Cmp(lp.RI(int64(last))) > 0 || r.res.strategy != "probe" {
-				t.Fatalf("upper = %v by %q, want ≤ %d by probe", r.res.upper, r.res.strategy, last)
+			if r.res.upper == nil || r.res.upper.Cmp(lp.RI(tc.upper)) > 0 || r.res.strategy != "probe" {
+				t.Fatalf("upper = %v by %q, want ≤ %d by probe", r.res.upper, r.res.strategy, tc.upper)
 			}
 			if err := r.res.witness.Validate(tc.m.Kind()); err != nil {
 				t.Fatalf("witness fails %v validation: %v", tc.m.Kind(), err)
+			}
+		})
+	}
+}
+
+// TestProbeDescent drives the ghw probe with a fake decider whose
+// answer per level is fixed: "accept" and "refute" answer at once, the
+// "slow" answers come only to a level without a deadline, so the
+// ascent's timed levels skip them and the descent, which runs on the
+// race context, gets them. Each acceptance at level k publishes width
+// k. The descent retries the skipped levels top down from one below the
+// first acceptance, stops above a level the ascent refuted, and stops
+// at its own first refutation.
+func TestProbeDescent(t *testing.T) {
+	bh := hypergraph.Grid(3, 3)
+	for _, tc := range []struct {
+		name       string
+		answers    map[int]string
+		upper      int64
+		trajectory []int
+	}{
+		// Level 2's refutation sets the floor at 3.
+		{"retries-skipped", map[int]string{2: "refute", 3: "slow-accept", 4: "accept"}, 3, []int{2, 3, 4, 3}},
+		// Level 3 refutes on the way down, so level 2 is never retried.
+		{"stops-at-refutation", map[int]string{2: "slow-accept", 3: "slow-refute", 4: "accept"}, 4, []int{2, 3, 4, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := *laneFor(t, "probe", GHW)
+			l.budget = 20 * time.Millisecond
+			l.open = func(r *race) (levelCheck, func(), error) {
+				return func(ctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
+					answer := tc.answers[k]
+					if _, budgeted := ctx.Deadline(); budgeted && strings.HasPrefix(answer, "slow-") {
+						<-ctx.Done()
+						return nil, nil, ctx.Err()
+					}
+					if strings.HasSuffix(answer, "refute") {
+						return nil, nil, nil
+					}
+					return trivialDecomp(bh), lp.RI(int64(k)), nil
+				}, func() {}, nil
+			}
+			ctx, tr := telemetry.WithTrace(context.Background())
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			r := &race{bh: bh, opt: Options{Measure: GHW}, tr: tr, cancel: cancel}
+			r.res.lower = lp.RI(1)
+			deepen(ctx, &l, r)
+
+			if got := tr.Summary().KTrajectory("probe"); !slices.Equal(got, tc.trajectory) {
+				t.Fatalf("probe trajectory %v, want %v", got, tc.trajectory)
+			}
+			if r.res.upper == nil || r.res.upper.Cmp(lp.RI(tc.upper)) != 0 || r.res.strategy != "probe" {
+				t.Fatalf("upper = %v by %q, want %d by probe", r.res.upper, r.res.strategy, tc.upper)
+			}
+			if r.res.lower.Cmp(lp.RI(1)) != 0 {
+				t.Fatalf("lower = %s, want 1: a ghw probe proves no lower bound", r.res.lower.RatString())
 			}
 		})
 	}
@@ -282,14 +349,15 @@ func TestProbeGrid7x7(t *testing.T) {
 // TestLaneRoster pins which strategies each block's race starts, per
 // measure, on a block inside the exact DP's vertex gate and one above
 // it, with and without the sat-ord lanes. A bipartite rank-2 block under
-// fhw runs the ghw roster.
+// fhw runs the ghw roster. Every block here stays open after the clique
+// bound and the single-bag witness, so its race has work to do.
 func TestLaneRoster(t *testing.T) {
 	chorded := func(rows, cols int) *hypergraph.Hypergraph {
 		h := hypergraph.Grid(rows, cols)
 		h.AddEdge("chord", "v0_0", "v1_1")
 		return h
 	}
-	ghwLarge := []string{"bip", "detk", "minfill", "probe", "sat-ord"}
+	ghwLarge := []string{"bip", "minfill", "probe", "sat-ord"}
 	ghwSmall := append([]string{"exact-dp"}, ghwLarge...)
 	fhwLarge := []string{"minfill", "probe", "sat-ord"}
 	fhwSmall := append([]string{"exact-dp"}, fhwLarge...)
@@ -299,9 +367,9 @@ func TestLaneRoster(t *testing.T) {
 		measure Measure
 		want    []string
 	}{
-		{"hw/clique5", hypergraph.Clique(5), HW, []string{"detk", "probe", "sat-ord-lb"}},
+		{"hw/grid4x4", hypergraph.Grid(4, 4), HW, []string{"detk", "probe", "sat-ord-lb"}},
 		{"hw/grid5x5", hypergraph.Grid(5, 5), HW, []string{"detk", "probe", "sat-ord-lb"}},
-		{"ghw/clique5", hypergraph.Clique(5), GHW, ghwSmall},
+		{"ghw/grid4x4", hypergraph.Grid(4, 4), GHW, ghwSmall},
 		{"ghw/grid5x5", hypergraph.Grid(5, 5), GHW, ghwLarge},
 		{"fhw/grid3x4+chord", chorded(3, 4), FHW, fhwSmall},
 		{"fhw/grid3x7+chord", chorded(3, 7), FHW, fhwLarge},
@@ -334,5 +402,22 @@ func TestLaneRoster(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestClosedBlockStartsNoLanes: on Clique(6) the clique bound and the
+// single-bag witness both read 3 before the race begins, so the block
+// is closed and no lane starts.
+func TestClosedBlockStartsNoLanes(t *testing.T) {
+	ctx, tr := telemetry.WithTrace(context.Background())
+	res, err := Solve(ctx, hypergraph.Clique(6), Options{Measure: GHW})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact || res.Upper.Cmp(lp.RI(3)) != 0 || res.Strategy != "trivial-ub" {
+		t.Fatalf("ghw ∈ [%s, %v] by %q, want exact 3 by trivial-ub", res.Lower.RatString(), res.Upper, res.Strategy)
+	}
+	if n := kinds(tr.Summary())["strategy_start"]; n != 0 {
+		t.Fatalf("%d strategy_start events on a block closed before its race, want 0", n)
 	}
 }

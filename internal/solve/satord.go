@@ -9,8 +9,8 @@ package solve
 // mid-size blocks (20–60 vertices) where the DP is out of reach and
 // Check(·,k) subproblem counts explode. The encoding characterizes ghw,
 // so under hw it yields lower bounds only; the ghw race borrows in the
-// other direction through its detk lane, so each race takes from the
-// other measure the bound side it can prove cheaply. Under fhw the SAT
+// other direction through its Check(HD,k) probe, so each race takes
+// from the other measure the bound side it can prove cheaply. Under fhw the SAT
 // core fixes orderings and the cover LP prices every decoded bag.
 
 import (

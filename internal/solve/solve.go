@@ -128,22 +128,22 @@ type PreStats struct {
 // Result is the outcome of one solve.
 type Result struct {
 	Measure Measure
-	// Lower and Upper bracket the width. Upper is nil when no witness
-	// was found within budget; Lower is always ≥ 1 for non-empty
-	// hypergraphs (0 for edge-less ones).
+	// Lower and Upper bracket the width. Upper is always set: even an
+	// expired budget leaves each block its single-bag witness. Lower is
+	// always ≥ 1 for non-empty hypergraphs (0 for edge-less ones).
 	Lower *big.Rat
 	Upper *big.Rat
 	// Exact reports Lower == Upper with Witness attaining it.
 	Exact bool
 	// Witness is a decomposition of the original hypergraph of width
-	// Upper (nil iff Upper is nil), validating as Measure.Kind().
+	// Upper, validating as Measure.Kind(); nil only for edge-less
+	// hypergraphs.
 	Witness *decomp.Decomp
 	// Strategy names the portfolio strategy that produced the witness
 	// of the widest block.
 	Strategy string
 	// Provenance classifies the guarantee behind Upper: ProvExact when
-	// Exact, ProvHeuristic otherwise. Empty only in the no-witness
-	// degenerate case (Upper == nil).
+	// Exact, ProvHeuristic otherwise.
 	Provenance Provenance
 	// Partial reports that the deadline or cancellation cut the search
 	// short; Lower/Upper still hold whatever was proven.
@@ -407,47 +407,29 @@ type piece struct {
 // mergeBlocks folds the per-block outcomes into res: the width of the
 // whole is the maximum over blocks, so the max of the lower bounds is a
 // lower bound and the max of the upper bounds is attained by the
-// stitched decomposition. A block whose budget expired before any
-// strategy produced a witness does not void the interval anymore: the
-// block's single-bag trivial witness (always constructible — solveBlock
-// offers it uncancellably, so this fallback is defense in depth)
-// completes the stitch, the surviving per-block lower bounds and
-// partial witnesses are preserved, and only Exact degrades.
+// stitched decomposition. A block whose budget expired keeps its proven
+// lower bound and the best witness found so far, at worst the
+// single-bag witness solveBlock offers before its race; only Exact
+// degrades.
 func mergeBlocks(res *Result, h *hypergraph.Hypergraph, pieces []piece, opt Options) error {
 	res.Lower = new(big.Rat)
 	res.Exact = true
-	haveAll := true
 	var parts []decomp.Part
 	for i := range pieces {
 		b := &pieces[i].out
+		if b.witness == nil {
+			return fmt.Errorf("solve: block %d has no witness", i)
+		}
 		if b.lower != nil && b.lower.Cmp(res.Lower) > 0 {
 			res.Lower = b.lower
 		}
 		res.Exact = res.Exact && b.exact
 		res.Partial = res.Partial || b.partial
-		if b.witness == nil {
-			if d := trivialDecomp(pieces[i].bh); d != nil {
-				b.witness, b.upper = d, d.Width()
-				b.strategy = "trivial-ub"
-				b.exact, b.partial = false, true
-				res.Exact, res.Partial = false, true
-			} else {
-				// Unreachable for non-empty blocks; keep the proven
-				// lower bound and the partial flag.
-				haveAll = false
-				res.Exact = false
-				continue
-			}
-		}
 		if res.Upper == nil || b.upper.Cmp(res.Upper) > 0 {
 			res.Upper = b.upper
 			res.Strategy = b.strategy
 		}
 		parts = append(parts, decomp.Part{D: b.witness, VertexMap: pieces[i].vmap, EdgeMap: pieces[i].emap})
-	}
-	if !haveAll {
-		res.Upper, res.Witness = nil, nil
-		return nil
 	}
 	res.Provenance = ProvHeuristic
 	if res.Exact {

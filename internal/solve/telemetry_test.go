@@ -18,11 +18,12 @@ func kinds(s *telemetry.Summary) map[string]int {
 	return m
 }
 
-// TestSolveTracedHW threads a trace through a full cached solve. The hw
-// portfolio runs a single strategy (detk), so the event shape is
-// deterministic: preprocess, strategy_start/end, at least one deepen,
-// engine counters, and a cache miss; an identical re-query under a
-// fresh trace must record a cache hit and no strategies.
+// TestSolveTracedHW threads a trace through a full cached solve. The
+// block stays open after the clique bound and the single-bag witness,
+// so the hw race starts its lanes, and detk, which decides hw, always
+// deepens: the trace holds preprocess, strategy_start/end, at least one
+// deepen, engine counters, and a cache miss; an identical re-query
+// under a fresh trace must record a cache hit and no strategies.
 func TestSolveTracedHW(t *testing.T) {
 	s := NewSolver(NewCache(0, 0), 0)
 	h := hypergraph.Grid(2, 3)
@@ -64,7 +65,7 @@ func TestSolveTracedHW(t *testing.T) {
 // diagonal chord (an odd cycle, so the block is not routed) with every
 // strategy in play, and on the triangle with the exact DP gated off so
 // the clique bound must meet a heuristic witness. The plain 3×4 grid is
-// bipartite: it is routed to the ghw race, whose detk lane runs.
+// bipartite: it is routed to the ghw race, whose bip lane runs.
 func TestSolveTracedFHW(t *testing.T) {
 	chorded := hypergraph.Grid(3, 4)
 	chorded.AddEdge("chord", "v0_0", "v1_1")
@@ -109,8 +110,9 @@ func TestSolveTracedFHW(t *testing.T) {
 			if routed := kinds(sum)["bipartite"] == 1; routed != tc.routed {
 				t.Fatalf("bipartite events %d, want routed=%v", kinds(sum)["bipartite"], tc.routed)
 			}
-			// detk and bip are ghw lanes: only a routed block runs them.
-			if started["detk"] != tc.routed || started["bip"] != tc.routed {
+			// bip is a ghw lane: only a routed block runs it, and no fhw
+			// block runs detk.
+			if started["detk"] || started["bip"] != tc.routed {
 				t.Fatalf("routed=%v but started %v", tc.routed, started)
 			}
 		})
