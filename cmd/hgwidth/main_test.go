@@ -22,7 +22,7 @@ func render(r *solve.Result) string {
 func TestPrintResultExact(t *testing.T) {
 	out := render(&solve.Result{
 		Measure: solve.GHW, Lower: lp.RI(2), Upper: lp.RI(2),
-		Exact: true, Strategy: "exact-dp", Provenance: solve.ProvExact,
+		Exact: true, Strategy: "sat-ord", Provenance: solve.ProvExact,
 		Elapsed: 3 * time.Millisecond,
 	})
 	if !strings.Contains(out, "ghw = 2") {

@@ -45,9 +45,9 @@
 // on biconnected components of the primal graph), a concurrent
 // portfolio that races clique lower bounds, iterative deepening on
 // Check(HD,k)/Check(GHD,k) from the clique bound, the SAT ordering
-// encoding (whose fhw variant prices bags with cover LPs), the exact DP
-// and min-fill upper bounds under context budgets with a
-// shared incumbent, witness stitching (decomp.Combine) and a
+// encoding (whose fhw variant prices bags with cover LPs) and min-fill
+// upper bounds under context budgets with a shared incumbent, witness
+// stitching (decomp.Combine) and a
 // fingerprint-keyed result cache bounded by entries and by retained
 // bytes. cmd/hgserve exposes it as an HTTP/JSON service (/width,
 // /decompose, /healthz, and a streaming NDJSON /batch endpoint) with a

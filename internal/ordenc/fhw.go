@@ -59,9 +59,10 @@ type FHWSearch struct {
 	stats  Stats
 }
 
-// NewFHWSearch prepares the arcs-only encoding. The second parameter is
-// ignored: bags are priced by the search's own cover.TargetLP. It stays
-// only because the repository benchmark compiles against it.
+// NewFHWSearch prepares the arcs-only encoding; the first CheckLevel or
+// RefineBelow builds its clauses. The second parameter is ignored: bags
+// are priced by the search's own cover.TargetLP. It stays only because
+// the repository benchmark compiles against it.
 func NewFHWSearch(h *hypergraph.Hypergraph, _ *cover.BasisCache) (*FHWSearch, error) {
 	enc, err := newEncoder(h, false, 0)
 	if err != nil {
@@ -124,7 +125,7 @@ func (f *FHWSearch) block(i int, bag hypergraph.VertexSet, rho *big.Rat) cdcl.Li
 // priced width clears the threshold (≤ t, or < t when strict), else
 // block the offending bags and repeat. Returns the witness and its
 // exact priced width, (nil, nil, nil) when no ordering clears the
-// threshold, or ErrCanceled.
+// threshold, or ErrCanceled, also mid-build.
 //
 // The guard assumptions are derived from the recorded ρ* once per call.
 // A block installed during the loop is offending at t by construction,
@@ -133,6 +134,9 @@ func (f *FHWSearch) block(i int, bag hypergraph.VertexSet, rho *big.Rat) cdcl.Li
 // rebuild, without re-comparing every block's ρ* each round.
 func (f *FHWSearch) solveBelow(done <-chan struct{}, t *big.Rat, strict bool) (*decomp.Decomp, *big.Rat, error) {
 	e := f.enc
+	if !e.build(done) {
+		return nil, nil, ErrCanceled
+	}
 	assume := f.assumeBlocks(t, strict)
 	for {
 		prev := e.s.Stats()
@@ -201,6 +205,7 @@ func (f *FHWSearch) LPStats() cover.LPStats { return f.tl.Stats() }
 // state) in DIMACS CNF for offline inspection.
 func (f *FHWSearch) WriteDIMACS(w io.Writer) error {
 	e := f.enc
+	e.build(nil)
 	return e.s.WriteDIMACS(w,
 		fmt.Sprintf("ordenc fhw ordering core: n=%d m=%d (bags priced via LP)", e.n, e.m),
 		"vars: ord(i,j) i<j, then arc(i,j) i!=j")

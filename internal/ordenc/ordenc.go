@@ -36,7 +36,7 @@ import (
 	"hypertree/internal/lp"
 )
 
-// ErrCanceled reports that the done channel fired mid-solve.
+// ErrCanceled reports that the done channel fired mid-build or mid-solve.
 var ErrCanceled = errors.New("ordenc: canceled")
 
 // Stats aggregates one search object's solver work for telemetry.
@@ -69,7 +69,7 @@ func (st *Stats) addSolver(prev, now cdcl.Stats) {
 type encoder struct {
 	h    *hypergraph.Hypergraph
 	n, m int
-	s    *cdcl.Solver
+	s    *cdcl.Solver // nil until build
 
 	ordV []int   // [i*n+j] for i<j: variable of ord(i,j)
 	arcV []int   // [i*n+j] for i≠j: variable of arc(i,j)
@@ -81,15 +81,15 @@ type encoder struct {
 	cnt  [][]int // [i][c]: register "vertex i selects ≥ c+1 edges", c ≤ min(m,kCap+1)-1
 }
 
-// newEncoder builds the ordering encoding. withWeights adds the wt layer
-// and counters up to kCap (clamped to the edge count); without it only
-// the ord/arc core is emitted (the fhw path).
+// newEncoder checks h and sizes the ordering encoding; build emits the
+// clauses. withWeights adds the wt layer and counters up to kCap
+// (clamped to [1, #edges]); without it only the ord/arc core is emitted.
 func newEncoder(h *hypergraph.Hypergraph, withWeights bool, kCap int) (*encoder, error) {
 	n, m := h.NumVertices(), h.NumEdges()
 	if n == 0 || m == 0 {
 		return nil, errors.New("ordenc: empty hypergraph")
 	}
-	e := &encoder{h: h, n: n, m: m, s: cdcl.New()}
+	e := &encoder{h: h, n: n, m: m}
 	e.inc = make([][]int, n)
 	for v := 0; v < n; v++ {
 		e.inc[v] = h.EdgesWithVertex(v)
@@ -97,6 +97,21 @@ func newEncoder(h *hypergraph.Hypergraph, withWeights bool, kCap int) (*encoder,
 			return nil, fmt.Errorf("ordenc: vertex %d has no incident edge", v)
 		}
 	}
+	if withWeights {
+		e.kCap = min(max(kCap, 1), m)
+	}
+	return e, nil
+}
+
+// build emits the clauses on first use and reports whether they are
+// complete. Its two Θ(n³) loops poll done once per vertex row; when done
+// fires it drops the partial database. A nil done never fires.
+func (e *encoder) build(done <-chan struct{}) bool {
+	if e.s != nil {
+		return true
+	}
+	n, h := e.n, e.h
+	e.s = cdcl.New()
 
 	// Variables. ord(i,j) exists for i<j; ord(j,i) is its negation.
 	e.ordV = make([]int, n*n)
@@ -118,7 +133,7 @@ func newEncoder(h *hypergraph.Hypergraph, withWeights bool, kCap int) (*encoder,
 	// ord(j,l) ∧ ord(l,i)... — for sorted i<j<l the two clauses
 	// (¬o_ij ∨ ¬o_jl ∨ o_il) and (o_ij ∨ o_jl ∨ ¬o_il) rule out both
 	// directed 3-cycles, which suffices for full transitivity.
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !fired(done); i++ {
 		for j := i + 1; j < n; j++ {
 			oij := e.ordLit(i, j)
 			for l := j + 1; l < n; l++ {
@@ -132,7 +147,7 @@ func newEncoder(h *hypergraph.Hypergraph, withWeights bool, kCap int) (*encoder,
 
 	// Base arcs: vertices sharing an edge are adjacent in the fill
 	// graph; the earlier one gets the arc.
-	for ei := 0; ei < m; ei++ {
+	for ei := 0; ei < e.m; ei++ {
 		vs := h.Edge(ei).Vertices()
 		for a := 0; a < len(vs); a++ {
 			for b := a + 1; b < len(vs); b++ {
@@ -156,7 +171,7 @@ func newEncoder(h *hypergraph.Hypergraph, withWeights bool, kCap int) (*encoder,
 
 	// Fill-in closure: eliminating i connects its later neighbors —
 	// arc(i,j) ∧ arc(i,l) → arc between j and l in ordering direction.
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !fired(done); i++ {
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
@@ -174,17 +189,24 @@ func newEncoder(h *hypergraph.Hypergraph, withWeights bool, kCap int) (*encoder,
 		}
 	}
 
-	if withWeights {
-		if kCap < 1 {
-			kCap = 1
-		}
-		if kCap > m {
-			kCap = m
-		}
-		e.kCap = kCap
+	if fired(done) {
+		e.s = nil
+		return false
+	}
+	if e.kCap > 0 {
 		e.buildWeights()
 	}
-	return e, nil
+	return true
+}
+
+// fired reports whether done has fired; a nil done never fires.
+func fired(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // buildWeights emits the cover-weight layer: wt variables, coverage
@@ -349,7 +371,7 @@ type GHWSearch struct {
 }
 
 // NewGHWSearch prepares the encoding with counters sized for widths up
-// to kCap (clamped to [1, #edges]).
+// to kCap (clamped to [1, #edges]); the first Check builds its clauses.
 func NewGHWSearch(h *hypergraph.Hypergraph, kCap int) (*GHWSearch, error) {
 	enc, err := newEncoder(h, true, kCap)
 	if err != nil {
@@ -360,7 +382,7 @@ func NewGHWSearch(h *hypergraph.Hypergraph, kCap int) (*GHWSearch, error) {
 
 // Check decides ghw(h) ≤ k. It returns a validated width-≤k GHD on
 // success, (nil, nil) when the encoding is unsatisfiable at k (so
-// ghw > k), and ErrCanceled when done fires first.
+// ghw > k), and ErrCanceled when done fires first, also mid-build.
 func (g *GHWSearch) Check(done <-chan struct{}, k int) (*decomp.Decomp, error) {
 	if k < 1 {
 		return nil, nil
@@ -376,6 +398,9 @@ func (g *GHWSearch) Check(done <-chan struct{}, k int) (*decomp.Decomp, error) {
 		g.stats.Rebuilds++
 	}
 	e := g.enc
+	if !e.build(done) {
+		return nil, ErrCanceled
+	}
 	kq := k
 	if kq > e.kCap {
 		kq = e.kCap // k ≥ m edges: the bound is vacuous
@@ -417,6 +442,7 @@ func (g *GHWSearch) Stats() Stats { return g.stats }
 // blocks.
 func (g *GHWSearch) WriteDIMACS(w io.Writer, k int) error {
 	e := g.enc
+	e.build(nil)
 	if k > e.kCap {
 		k = e.kCap
 	}

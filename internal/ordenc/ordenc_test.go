@@ -172,6 +172,10 @@ func TestKCapRebuild(t *testing.T) {
 	}
 }
 
+// TestCancellationPropagates: a search whose done has already fired
+// returns ErrCanceled without building its Θ(n³) clauses, so a race
+// that closed while the search was being opened does not wait for the
+// encoding, and the search still answers once done is open.
 func TestCancellationPropagates(t *testing.T) {
 	h := hypergraph.Grid(3, 3)
 	s, err := NewGHWSearch(h, 2)
@@ -182,6 +186,9 @@ func TestCancellationPropagates(t *testing.T) {
 	close(done)
 	if _, err := s.Check(done, 1); err != ErrCanceled {
 		t.Fatalf("Check under closed done: err=%v, want ErrCanceled", err)
+	}
+	if s.enc.s != nil {
+		t.Fatal("ghw search built its encoding under a closed done")
 	}
 	// Still usable afterwards.
 	d, err := s.Check(nil, 2)
@@ -195,6 +202,15 @@ func TestCancellationPropagates(t *testing.T) {
 	}
 	if _, _, err := f.CheckLevel(done, lp.RI(1)); err != ErrCanceled {
 		t.Fatalf("fhw CheckLevel under closed done: err=%v, want ErrCanceled", err)
+	}
+	if _, _, err := f.RefineBelow(done, lp.RI(2)); err != ErrCanceled {
+		t.Fatalf("fhw RefineBelow under closed done: err=%v, want ErrCanceled", err)
+	}
+	if f.enc.s != nil {
+		t.Fatal("fhw search built its encoding under a closed done")
+	}
+	if d, _, err := f.CheckLevel(nil, lp.RI(2)); err != nil || d == nil {
+		t.Fatalf("post-cancel fhw CheckLevel(2): d=%v err=%v", d, err)
 	}
 }
 

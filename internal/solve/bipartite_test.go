@@ -152,7 +152,8 @@ func TestBipartiteFHWEqualsGHW(t *testing.T) {
 }
 
 // TestBipartiteGuards: odd cycles and rank-3 blocks keep the fhw race.
-// The triangle still answers 3/2, also with the exact DP gated off, and
+// The triangle still answers 3/2, also with the sat-ord lane gated off
+// (the exact encoding the race would otherwise close it with), and
 // Cycle(7) keeps width 2; none of them leaves a bipartite event.
 func TestBipartiteGuards(t *testing.T) {
 	for _, tc := range []struct {
@@ -162,7 +163,7 @@ func TestBipartiteGuards(t *testing.T) {
 		want string
 	}{
 		{"triangle", hypergraph.Clique(3), solve.Options{Measure: solve.FHW}, "3/2"},
-		{"triangle-no-dp", hypergraph.Clique(3), solve.Options{Measure: solve.FHW, ExactVertexLimit: 1}, "3/2"},
+		{"triangle-no-dp", hypergraph.Clique(3), solve.Options{Measure: solve.FHW, SATOrdLimit: -1}, "3/2"},
 		{"cycle7", hypergraph.Cycle(7), solve.Options{Measure: solve.FHW}, "2"},
 		{"hypercycle-rank3", hypergraph.HyperCycle(5, 3, 1), solve.Options{Measure: solve.FHW}, ""},
 	} {

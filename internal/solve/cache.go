@@ -22,18 +22,16 @@ import (
 // unchanged. The exact canonical string is kept alongside the
 // fingerprint so hash collisions cannot cross-contaminate entries.
 
-// Key identifies one cache slot: the canonical hypergraph, the measure,
-// and the result-shaping options (ExactVertexLimit, NoPreprocess) — two
-// requests differing in those may legitimately get different
-// results, so they must not share an entry or an in-flight computation.
-// Validate and Timeout are deliberately excluded: only exact results are
-// cached, and an exact width does not depend on either.
+// Key identifies one cache slot: the canonical hypergraph, the measure
+// and NoPreprocess, which shapes the witness, so requests differing in it
+// share no entry or in-flight computation. Validate, Timeout and
+// SATOrdLimit are excluded: only exact results are cached, and an exact
+// width depends on none of them.
 type Key struct {
-	Measure    Measure
-	FP         uint64
-	canon      string
-	exactLimit int
-	noPre      bool
+	Measure Measure
+	FP      uint64
+	canon   string
+	noPre   bool
 }
 
 // KeyFor computes the cache key of h under measure m with default
@@ -83,10 +81,7 @@ func canonKey(opt Options, h *hypergraph.Hypergraph) (Key, []int) {
 		b.WriteString(set.Key())
 		b.WriteByte('|')
 	}
-	return Key{
-		Measure: opt.Measure, FP: fp, canon: b.String(),
-		exactLimit: opt.ExactVertexLimit, noPre: opt.NoPreprocess,
-	}, relabel
+	return Key{Measure: opt.Measure, FP: fp, canon: b.String(), noPre: opt.NoPreprocess}, relabel
 }
 
 // edgeSetLess orders two incidence sets of one hypergraph (equal word

@@ -135,10 +135,10 @@ func TestSolveIntervalUnderPressure(t *testing.T) {
 
 // TestGHWDetkLaneDifferential is the soundness differential for the
 // det-k-decomp (Check(HD,k)) upper bounds of the ghw race, which the
-// probe supplies. With the exact DP and sat-ord gated off, bip, minfill
-// and probe race on every golden corpus instance; a probe witness may
-// close the race only against a lower bound proven by another lane, so
-// every result must be exact and equal to the golden ghw.
+// probe supplies. With sat-ord gated off, bip, minfill and probe race on
+// every golden corpus instance; a probe witness may close the race only
+// against a lower bound proven by another lane, so every result must be
+// exact and equal to the golden ghw.
 func TestGHWDetkLaneDifferential(t *testing.T) {
 	golden := contractGolden(t)
 	ins, err := corpus.LoadDir(contractCorpusDir)
@@ -157,7 +157,7 @@ func TestGHWDetkLaneDifferential(t *testing.T) {
 		}
 		want := lp.RI(int64(exact))
 		r, err := solve.Solve(ctx, h, solve.Options{
-			Measure: solve.GHW, ExactVertexLimit: 1, SATOrdLimit: -1,
+			Measure: solve.GHW, SATOrdLimit: -1,
 			Validate: true, Timeout: 30 * time.Second,
 		})
 		if err != nil {
@@ -174,12 +174,12 @@ func TestGHWDetkLaneDifferential(t *testing.T) {
 // LPs need no warm-started rational engine: on the in-repo fhw traffic
 // every counted cover LP is answered float-first under the exact
 // certificate, and the cold rational fallback never runs. The traffic
-// is a traced fhw Solve of every golden corpus instance (with the exact
-// DP on, and gated off so the LP-pricing lanes do the work) plus the
-// CheckFHD inputs of hgbench's E08. The corpus leg must solve cover LPs
-// on its own: its bipartite instances run the integral ghw race, so the
-// non-bipartite ones carry it. If this fails, the fallback is on a
-// measured path and its cost needs measuring.
+// is a traced fhw Solve of every golden corpus instance, where the
+// LP-pricing lanes do the work, plus the CheckFHD inputs of hgbench's
+// E08. The corpus leg must solve cover LPs on its own: its bipartite
+// instances run the integral ghw race, so the non-bipartite ones carry
+// it. If this fails, the fallback is on a measured path and its cost
+// needs measuring.
 func TestFloatCertificateCoversInRepoLPs(t *testing.T) {
 	golden := contractGolden(t)
 	ins, err := corpus.LoadDir(contractCorpusDir)
@@ -195,19 +195,15 @@ func TestFloatCertificateCoversInRepoLPs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
-		for _, dpLimit := range []int{0, 1} {
-			ctx, tr := telemetry.WithTrace(context.Background())
-			r, err := solve.Solve(ctx, h, solve.Options{
-				Measure: solve.FHW, ExactVertexLimit: dpLimit, Timeout: 30 * time.Second,
-			})
-			if err != nil || !r.Exact {
-				t.Fatalf("%s (dp limit %d): %v, exact=%v", in.Name, dpLimit, err, r.Exact)
-			}
-			s := tr.Summary().Counters
-			c.LPSolves += s.LPSolves
-			c.LPFloat += s.LPFloat
-			c.LPCold += s.LPCold
+		ctx, tr := telemetry.WithTrace(context.Background())
+		r, err := solve.Solve(ctx, h, solve.Options{Measure: solve.FHW, Timeout: 30 * time.Second})
+		if err != nil || !r.Exact {
+			t.Fatalf("%s: %v, exact=%v", in.Name, err, r.Exact)
 		}
+		s := tr.Summary().Counters
+		c.LPSolves += s.LPSolves
+		c.LPFloat += s.LPFloat
+		c.LPCold += s.LPCold
 	}
 	if c.LPSolves == 0 {
 		t.Fatal("the corpus leg solved no cover LPs")

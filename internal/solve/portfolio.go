@@ -25,8 +25,8 @@ import (
 // each strategy with the measures and blocks it runs on and what its
 // answers prove. Per measure, following fhw ≤ ghw ≤ hw:
 //
-//	hw:   Check(HD,k) decides hw itself, so its deepening is exact; the
-//	      ghw encoding adds lower bounds only (ghw ≤ hw).
+//	hw:   Check(HD,k) decides hw itself, so its deepening is exact on
+//	      every block and no other decider races it.
 //	ghw:  Check(GHD,k) and the ghw encoding decide ghw, so their
 //	      deepening is exact. Check(HD,k) is polynomial where
 //	      Check(GHD,k) needs subedge augmentation, and every HD is a
@@ -36,13 +36,13 @@ import (
 //	fhw:  a bipartite block of rank ≤ 2 (a grid, an even cycle, a CQ
 //	      with binary atoms) runs the ghw race: its incidence matrix is
 //	      totally unimodular, so every bag's cover LP has an integral
-//	      optimum and fhw = ghw. On every other block above the exact
-//	      DP's gate, only the LP-hybrid encoding, whose SAT core fixes
-//	      orderings while the cover LP prices bags, proves lower bounds
-//	      beyond the clique bound. The paper's Check(FHD,k) is not
-//	      raced: deciding fhw ≤ k is NP-complete even for k = 2, so it
-//	      could only offer upper bounds, and it never finished first on
-//	      the benchmark mix.
+//	      optimum and fhw = ghw. On every other block only the
+//	      LP-hybrid encoding, whose SAT core fixes orderings while the
+//	      cover LP prices bags, proves lower bounds beyond the clique
+//	      bound. The paper's Check(FHD,k) is not raced: deciding
+//	      fhw ≤ k is NP-complete even for k = 2, so it could only offer
+//	      upper bounds, and it never finished first on the benchmark
+//	      mix.
 //
 // Every race also runs the probe: Check(HD,k) from one level above the
 // lower bound, each level under a short timer. Check(HD,k) accepts fast
@@ -332,16 +332,6 @@ const (
 // lanes is every block's roster. A measure's race runs the rows that
 // list it, in table order, on the blocks their gates admit.
 var lanes = []lane{
-	{name: "exact-dp", measures: []Measure{GHW}, gate: exactGate, run: func(ctx context.Context, r *race) {
-		if w, d, err := core.ExactGHWCtx(ctx, r.bh); err == nil && d != nil {
-			r.offerExact(lp.RI(int64(w)), d, "exact-dp")
-		}
-	}},
-	{name: "exact-dp", measures: []Measure{FHW}, gate: exactGate, run: func(ctx context.Context, r *race) {
-		if w, d, err := core.ExactFHWCtx(ctx, r.bh); err == nil && d != nil {
-			r.offerExact(w, d, "exact-dp")
-		}
-	}},
 	// hw: Check(HD,k) decides hw, so a rejection is a lower bound and
 	// the first acceptance is exact.
 	{name: "detk", measures: []Measure{HW}, open: openEngine(core.CheckHDOptCtx), yes: proofExact, no: proofLowerNext},
@@ -364,9 +354,6 @@ var lanes = []lane{
 	// subedge closure exceeds its cap.
 	{name: "bip", measures: []Measure{GHW}, open: openEngine(core.CheckGHDViaBIPCtx), yes: proofExact, no: proofLowerNext},
 	{name: "sat-ord", measures: []Measure{GHW}, gate: satOrdGate, open: openSATOrdGHW, yes: proofExact, no: proofLowerNext},
-	// The ghw encoding under hw: a rejection is below ghw ≤ hw, but an
-	// accepted ordering is a GHD, not necessarily an HD.
-	{name: "sat-ord-lb", measures: []Measure{HW}, gate: satOrdGate, open: openSATOrdGHW, yes: proofNone, no: proofLowerNext},
 	{name: "sat-ord", measures: []Measure{FHW}, gate: satOrdGate, open: openSATOrdFHW, yes: proofExact, no: proofLowerClosed},
 }
 
@@ -390,10 +377,12 @@ func (l *lane) runIn(ctx context.Context, r *race) {
 // race has closed, or that an upper-bound lane could at best re-find the
 // incumbent's width. Under fhw an upper bound ≤ k may be fractional, and
 // the level can still tighten or certify it. A budgeted lane whose
-// refutations prove nothing descends after its first acceptance.
+// refutations prove nothing descends after its first acceptance. An
+// error ends the lane through strategyFailure; a timed-out level does not.
 func deepen(ctx context.Context, l *lane, r *race) {
 	check, flush, err := l.open(r)
 	if err != nil {
+		strategyFailure(ctx, r.tr, r.blk, l.name, err)
 		return
 	}
 	defer flush()
@@ -419,8 +408,9 @@ func deepen(ctx context.Context, l *lane, r *race) {
 		switch {
 		case timedOut:
 			continue
-		case err != nil:
-			return // canceled, or the decider gave up (bip's closure cap)
+		case err != nil: // canceled, or the decider gave up (bip's closure cap)
+			strategyFailure(ctx, r.tr, r.blk, l.name, err)
+			return
 		case d != nil:
 			switch l.yes {
 			case proofExact:
@@ -457,21 +447,14 @@ func descend(ctx context.Context, l *lane, r *race, check levelCheck, k, floor i
 		mDeepenSteps.With(l.name).Inc()
 		r.tr.Deepen(r.blk, l.name, k)
 		d, w, err := check(ctx, k)
-		if err != nil || d == nil {
+		if err != nil {
+			strategyFailure(ctx, r.tr, r.blk, l.name, err)
+		}
+		if d == nil {
 			return
 		}
 		r.offerUpper(w, d, l.name)
 	}
-}
-
-// exactGate admits the blocks within the exact elimination DP's vertex
-// limit.
-func exactGate(nv int, opt Options) bool {
-	limit := opt.ExactVertexLimit
-	if limit <= 0 {
-		limit = defaultExactVertexLimit
-	}
-	return nv <= limit
 }
 
 // openEngine opens a Check(·,k) lane over the decomposition engine.

@@ -2,6 +2,7 @@ package solve
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"slices"
 	"strings"
@@ -239,6 +240,78 @@ func TestDeepenBudgetSkipsTimedOutLevels(t *testing.T) {
 	}
 }
 
+// TestDeepenCountsLaneFailures drives deepen with fake deciders that
+// fail. A real error, whether the lane's open, one of its levels or a
+// descent level fails, ends the lane with one strategy_error event and
+// one count in hg_solve_strategy_errors_total; a level cut short by the
+// race's cancellation counts as canceled instead, and a budgeted level
+// whose timer fires is a skip that counts as neither.
+func TestDeepenCountsLaneFailures(t *testing.T) {
+	bh := hypergraph.Grid(3, 3)
+	errDecider := errors.New("BIP subedge closure exceeds 8 sets")
+	for _, tc := range []struct {
+		name           string
+		m              Measure
+		budget         time.Duration
+		lower          int64
+		openErr        bool
+		answers        map[int]string // per level: accept, fail, cancel or timeout; refute otherwise
+		errs, canceled int64
+	}{
+		{"open", GHW, 0, 1, true, nil, 1, 0},
+		{"level", GHW, 0, 1, false, map[int]string{2: "fail"}, 1, 0},
+		// The ascent starts at 3 and accepts; the descent fails at 2.
+		{"descent", GHW, time.Minute, 2, false, map[int]string{3: "accept", 2: "fail"}, 1, 0},
+		{"canceled", HW, 0, 1, false, map[int]string{2: "cancel"}, 0, 1},
+		{"timeout", HW, 10 * time.Millisecond, 1, false, map[int]string{2: "timeout", 3: "accept"}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name := "fake-" + tc.name
+			l := lane{name: name, measures: []Measure{tc.m}, budget: tc.budget, yes: proofUpper, no: proofLowerNext}
+			if tc.budget > 0 && tc.m != HW {
+				l.no = proofNone
+			}
+			ctx, tr := telemetry.WithTrace(context.Background())
+			ctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			l.open = func(r *race) (levelCheck, func(), error) {
+				if tc.openErr {
+					return nil, nil, errDecider
+				}
+				return func(lctx context.Context, k int) (*decomp.Decomp, *big.Rat, error) {
+					switch tc.answers[k] {
+					case "accept":
+						return withWidth(core.CheckHD(bh, k), nil)
+					case "fail":
+						return nil, nil, errDecider
+					case "cancel":
+						cancel()
+						return nil, nil, ctx.Err()
+					case "timeout":
+						<-lctx.Done()
+						return nil, nil, lctx.Err()
+					}
+					return nil, nil, nil
+				}, func() {}, nil
+			}
+			r := &race{bh: bh, opt: Options{Measure: tc.m}, tr: tr, cancel: cancel}
+			r.res.lower = lp.RI(tc.lower)
+			errs0, canceled0 := mStrategyErrors.Values()[name], mStrategyCanceled.Values()[name]
+			deepen(ctx, &l, r)
+
+			if got := mStrategyErrors.Values()[name] - errs0; got != tc.errs {
+				t.Errorf("errors counter moved by %d, want %d", got, tc.errs)
+			}
+			if got := mStrategyCanceled.Values()[name] - canceled0; got != tc.canceled {
+				t.Errorf("canceled counter moved by %d, want %d", got, tc.canceled)
+			}
+			if got := kinds(tr.Summary())["strategy_error"]; got != int(tc.errs) {
+				t.Errorf("%d strategy_error events, want %d", got, tc.errs)
+			}
+		})
+	}
+}
+
 // TestProbeDescent drives the ghw probe with a fake decider whose
 // answer per level is fixed: "accept" and "refute" answer at once, the
 // "slow" answers come only to a level without a deadline, so the
@@ -347,40 +420,40 @@ func TestProbeGrid7x7(t *testing.T) {
 }
 
 // TestLaneRoster pins which strategies each block's race starts, per
-// measure, on a block inside the exact DP's vertex gate and one above
-// it, with and without the sat-ord lanes. A bipartite rank-2 block under
-// fhw runs the ghw roster. Every block here stays open after the clique
-// bound and the single-bag witness, so its race has work to do.
+// measure, on blocks of 12 to 25 vertices, with and without sat-ord.
+// Under hw detk decides every block, so no other decider starts. A
+// bipartite rank-2 block under fhw runs the ghw roster. Every block here
+// stays open after the clique bound and the single-bag witness, so its
+// race has work to do.
 func TestLaneRoster(t *testing.T) {
 	chorded := func(rows, cols int) *hypergraph.Hypergraph {
 		h := hypergraph.Grid(rows, cols)
 		h.AddEdge("chord", "v0_0", "v1_1")
 		return h
 	}
-	ghwLarge := []string{"bip", "minfill", "probe", "sat-ord"}
-	ghwSmall := append([]string{"exact-dp"}, ghwLarge...)
-	fhwLarge := []string{"minfill", "probe", "sat-ord"}
-	fhwSmall := append([]string{"exact-dp"}, fhwLarge...)
+	hw := []string{"detk", "probe"}
+	ghw := []string{"bip", "minfill", "probe", "sat-ord"}
+	fhw := []string{"minfill", "probe", "sat-ord"}
 	for _, tc := range []struct {
 		name    string
 		h       *hypergraph.Hypergraph
 		measure Measure
 		want    []string
 	}{
-		{"hw/grid4x4", hypergraph.Grid(4, 4), HW, []string{"detk", "probe", "sat-ord-lb"}},
-		{"hw/grid5x5", hypergraph.Grid(5, 5), HW, []string{"detk", "probe", "sat-ord-lb"}},
-		{"ghw/grid4x4", hypergraph.Grid(4, 4), GHW, ghwSmall},
-		{"ghw/grid5x5", hypergraph.Grid(5, 5), GHW, ghwLarge},
-		{"fhw/grid3x4+chord", chorded(3, 4), FHW, fhwSmall},
-		{"fhw/grid3x7+chord", chorded(3, 7), FHW, fhwLarge},
-		{"fhw-bipartite/grid4x4", hypergraph.Grid(4, 4), FHW, ghwSmall},
-		{"fhw-bipartite/grid5x5", hypergraph.Grid(5, 5), FHW, ghwLarge},
+		{"hw/grid4x4", hypergraph.Grid(4, 4), HW, hw},
+		{"hw/grid5x5", hypergraph.Grid(5, 5), HW, hw},
+		{"ghw/grid4x4", hypergraph.Grid(4, 4), GHW, ghw},
+		{"ghw/grid5x5", hypergraph.Grid(5, 5), GHW, ghw},
+		{"fhw/grid3x4+chord", chorded(3, 4), FHW, fhw},
+		{"fhw/grid3x7+chord", chorded(3, 7), FHW, fhw},
+		{"fhw-bipartite/grid4x4", hypergraph.Grid(4, 4), FHW, ghw},
+		{"fhw-bipartite/grid5x5", hypergraph.Grid(5, 5), FHW, ghw},
 	} {
 		for _, satOrd := range []bool{true, false} {
 			name, opt, want := tc.name, Options{Measure: tc.measure}, tc.want
 			if !satOrd {
 				name, opt.SATOrdLimit = name+"/no-sat-ord", -1
-				want = slices.DeleteFunc(slices.Clone(want), func(s string) bool { return strings.HasPrefix(s, "sat-ord") })
+				want = slices.DeleteFunc(slices.Clone(want), func(s string) bool { return s == "sat-ord" })
 			}
 			t.Run(name, func(t *testing.T) {
 				ctx, tr := telemetry.WithTrace(context.Background())

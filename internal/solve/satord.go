@@ -1,17 +1,15 @@
 package solve
 
-// satord.go — the ordering-based SAT lanes. One ordenc.GHWSearch (or
+// satord.go — the ordering-based SAT lanes, the exact ghw and fhw
+// decider on blocks of 2–64 vertices. One ordenc.GHWSearch (or
 // FHWSearch for the fractional measure) per block runs incremental
 // k-refinement: the CDCL solver keeps its learned clauses across
 // deepening levels because the width bound enters only through
-// assumptions on the cardinality registers. Racing the elimination DP
-// and the engine deepening lanes, sat-ord is the intended winner on the
-// mid-size blocks (20–60 vertices) where the DP is out of reach and
-// Check(·,k) subproblem counts explode. The encoding characterizes ghw,
-// so under hw it yields lower bounds only; the ghw race borrows in the
-// other direction through its Check(HD,k) probe, so each race takes
-// from the other measure the bound side it can prove cheaply. Under fhw the SAT
-// core fixes orderings and the cover LP prices every decoded bag.
+// assumptions on the cardinality registers. The encoding is built on
+// the first level, under the race's context, so a race that closes
+// first does not wait for it. Under fhw the SAT core fixes orderings and
+// the cover LP prices every decoded bag. hw has no sat-ord lane:
+// Check(HD,k) decides it exactly.
 
 import (
 	"context"

@@ -2,16 +2,23 @@ package solve
 
 import (
 	"context"
+	"math/big"
 	"testing"
 
+	"hypertree/internal/core"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
 	"hypertree/internal/telemetry"
 )
 
 // TestSATOrdSolveDifferential runs full solves with the sat-ord
-// strategy racing and with it disabled; widths must agree exactly and
-// witnesses must validate (Validate: true re-checks them).
+// strategy racing and with it disabled, and compares them with the core
+// reference widths: core.HW for hw, the exact elimination DP for ghw
+// and fhw. With sat-ord every solve must be exact at the reference.
+// Without it the hw and ghw races keep an exact decider (detk, bip), so
+// they must be exact too; the fhw race has none left on a non-bipartite
+// block, so there the interval must contain the reference. Validate:
+// true re-checks every witness.
 func TestSATOrdSolveDifferential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,23 +30,41 @@ func TestSATOrdSolveDifferential(t *testing.T) {
 		{"clique5", hypergraph.Clique(5)},
 		{"hypercycle6-3-1", hypergraph.HyperCycle(6, 3, 1)},
 	}
+	reference := func(m Measure, h *hypergraph.Hypergraph) *big.Rat {
+		switch m {
+		case HW:
+			w, _ := core.HW(h, 0)
+			return lp.RI(int64(w))
+		case GHW:
+			w, _ := core.ExactGHW(h)
+			return lp.RI(int64(w))
+		}
+		w, _ := core.ExactFHW(h)
+		return w
+	}
 	for _, m := range []Measure{HW, GHW, FHW} {
 		for _, tc := range cases {
 			t.Run(m.String()+"/"+tc.name, func(t *testing.T) {
+				want := reference(m, tc.h)
 				on, err := Solve(context.Background(), tc.h, Options{Measure: m, Validate: true})
 				if err != nil {
 					t.Fatalf("solve with sat-ord: %v", err)
+				}
+				if !on.Exact || on.Upper.Cmp(want) != 0 {
+					t.Fatalf("with sat-ord: [%s, %s] exact=%v, want exact %s",
+						on.Lower.RatString(), on.Upper.RatString(), on.Exact, want.RatString())
 				}
 				off, err := Solve(context.Background(), tc.h, Options{Measure: m, Validate: true, SATOrdLimit: -1})
 				if err != nil {
 					t.Fatalf("solve without sat-ord: %v", err)
 				}
-				if !on.Exact || !off.Exact {
-					t.Fatalf("exactness: with=%v without=%v", on.Exact, off.Exact)
+				if off.Lower.Cmp(want) > 0 || off.Upper.Cmp(want) < 0 {
+					t.Fatalf("without sat-ord: [%s, %s] misses %s",
+						off.Lower.RatString(), off.Upper.RatString(), want.RatString())
 				}
-				if on.Upper.Cmp(off.Upper) != 0 {
-					t.Fatalf("width with sat-ord %s, without %s",
-						on.Upper.RatString(), off.Upper.RatString())
+				if m != FHW && (!off.Exact || off.Upper.Cmp(want) != 0) {
+					t.Fatalf("without sat-ord: [%s, %s] exact=%v, want exact %s",
+						off.Lower.RatString(), off.Upper.RatString(), off.Exact, want.RatString())
 				}
 			})
 		}

@@ -4,8 +4,8 @@
 // primal graph), a concurrent portfolio that races bounded strategies —
 // clique lower bounds, iterative deepening on Check(HD,k) and
 // Check(GHD,k)-via-BIP starting at the clique bound, the SAT ordering
-// encoding (LP-priced for fhw), the exact elimination DP for small
-// pieces, min-fill upper bounds and a budgeted Check(HD,k) probe —
+// encoding (LP-priced for fhw), min-fill upper bounds and a budgeted
+// Check(HD,k) probe —
 // under context deadlines with a shared incumbent, recombination of the
 // per-piece witnesses into one validated decomposition, and a
 // fingerprint-keyed result cache (bounded by entries and by retained
@@ -74,11 +74,6 @@ func ParseMeasure(s string) (Measure, error) {
 	return 0, fmt.Errorf("solve: unknown measure %q (want hw, ghw or fhw)", s)
 }
 
-// defaultExactVertexLimit gates the exact elimination DP: beyond this
-// many vertices per block the DP's dense tables stop paying off and the
-// deepening/heuristic strategies carry the portfolio.
-const defaultExactVertexLimit = 20
-
 // Options configure one Solve call.
 type Options struct {
 	// Measure selects the width measure (default GHW).
@@ -87,8 +82,6 @@ type Options struct {
 	// alone governs cancellation. On expiry Solve returns the best
 	// bounds proven so far with Partial set.
 	Timeout time.Duration
-	// ExactVertexLimit overrides the exact-DP size gate (0 = 20).
-	ExactVertexLimit int
 	// NoPreprocess disables the simplification pipeline and solves the
 	// input as a single piece.
 	NoPreprocess bool

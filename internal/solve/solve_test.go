@@ -234,11 +234,11 @@ func TestTimeoutPartial(t *testing.T) {
 func ri(k int) *big.Rat { return lp.RI(int64(k)) }
 
 func TestFHWPortfolioWithoutExactDP(t *testing.T) {
-	// With the exact DP disabled (vertex limit 1) the fhw portfolio must
+	// No lane runs the exact elimination DP, and the fhw portfolio must
 	// still close the triangle exactly: the fractional clique bound meets
-	// the min-fill upper bound at 3/2.
+	// a min-fill or sat-ord witness at 3/2.
 	r, err := Solve(context.Background(), hypergraph.Clique(3), Options{
-		Measure: FHW, ExactVertexLimit: 1, Validate: true,
+		Measure: FHW, Validate: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,8 +63,8 @@ func TestSolveTracedHW(t *testing.T) {
 // still closes exactly, and returns a witness that validates at the
 // reported width. The LP-priced fhw race runs on a 3×4 grid with one
 // diagonal chord (an odd cycle, so the block is not routed) with every
-// strategy in play, and on the triangle with the exact DP gated off so
-// the clique bound must meet a heuristic witness. The plain 3×4 grid is
+// strategy in play, and on the triangle, whose clique bound 3/2 lies
+// below the single-bag witness's width 2. The plain 3×4 grid is
 // bipartite: it is routed to the ghw race, whose bip lane runs.
 func TestSolveTracedFHW(t *testing.T) {
 	chorded := hypergraph.Grid(3, 4)
@@ -76,7 +76,7 @@ func TestSolveTracedFHW(t *testing.T) {
 		routed bool
 	}{
 		{"grid3x4+chord", chorded, Options{Measure: FHW}, false},
-		{"K3-no-dp", hypergraph.Clique(3), Options{Measure: FHW, ExactVertexLimit: 1}, false},
+		{"K3", hypergraph.Clique(3), Options{Measure: FHW}, false},
 		{"grid3x4", hypergraph.Grid(3, 4), Options{Measure: FHW}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
