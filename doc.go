@@ -41,8 +41,9 @@
 // PERFORMANCE.md documents the design and the measured speedups.
 //
 // On top of the algorithms, internal/solve is the serving layer: a
-// preprocessing pipeline (empty/duplicate/subsumed edge removal, split
-// on biconnected components of the primal graph), a concurrent
+// preprocessing pipeline (empty/duplicate/subsumed edge removal, one
+// DFS over the incidence graph splitting on the biconnected components
+// of the primal graph), a concurrent
 // portfolio that races clique lower bounds, iterative deepening on
 // Check(HD,k)/Check(GHD,k) from the clique bound, the SAT ordering
 // encoding (whose fhw variant prices bags with cover LPs) and min-fill

@@ -6,6 +6,7 @@
 package cover
 
 import (
+	"math"
 	"math/big"
 	"sort"
 
@@ -208,23 +209,33 @@ func Rho(h *hypergraph.Hypergraph) int {
 // if target is uncoverable.
 func GreedyEdgeCover(h *hypergraph.Hypergraph, target hypergraph.VertexSet) []int {
 	remaining := target.Clone()
-	// Only edges intersecting the target can ever gain; later rounds
-	// shrink remaining, so the candidate pool only shrinks too.
-	candidates := h.EdgesIntersectingSet(target, nil)
+	// Only edges intersecting the target can ever gain. Gains only fall
+	// as remaining shrinks, so the gain an edge last counted bounds its
+	// gain now: a round recounts only edges whose bound beats the round's
+	// best so far, and ties still go to the lowest edge id.
+	type candidate struct{ e, bound int }
+	pool := h.EdgesIntersectingSet(target, nil)
+	cands := make([]candidate, 0, pool.Count())
+	pool.ForEach(func(e int) bool {
+		cands = append(cands, candidate{e, math.MaxInt})
+		return true
+	})
 	var chosen []int
 	for !remaining.IsEmpty() {
 		bestE, bestGain := -1, 0
-		candidates.ForEach(func(e int) bool {
-			if g := h.Edge(e).IntersectionCount(remaining); g > bestGain {
-				bestE, bestGain = e, g
+		for i := range cands {
+			c := &cands[i]
+			if c.bound <= bestGain {
+				continue
 			}
-			return true
-		})
+			if c.bound = h.Edge(c.e).IntersectionCount(remaining); c.bound > bestGain {
+				bestE, bestGain = c.e, c.bound
+			}
+		}
 		if bestE < 0 {
 			return nil
 		}
 		chosen = append(chosen, bestE)
-		candidates.Remove(bestE)
 		remaining = remaining.DiffInPlace(h.Edge(bestE))
 	}
 	return chosen

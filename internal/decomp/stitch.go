@@ -78,20 +78,25 @@ func Combine(h *hypergraph.Hypergraph, parts []Part) (*Decomp, error) {
 	}
 	n := h.NumVertices()
 	d := New(h)
-	support := hypergraph.NewVertexSet(n) // vertices in placed bags
+	// home[v] is the first placed node whose bag contains host vertex v,
+	// or -1: the attachment point for a later part sharing v.
+	home := make([]int, n)
+	for v := range home {
+		home[v] = -1
+	}
 	placed := make([]bool, len(parts))
 	for remaining := len(parts); remaining > 0; remaining-- {
 		// Pick the next part: prefer one sharing a vertex with the
 		// placed forest, so chains of blocks attach in block-cut-tree
 		// order regardless of input order.
-		pick, shared := -1, -1
+		pick, at, shared := -1, -1, -1
 		for i, p := range parts {
 			if placed[i] {
 				continue
 			}
 			if d.Root >= 0 {
-				if v := p.sharedVertex(n, support); v >= 0 {
-					pick, shared = i, v
+				if u, v := p.sharedVertex(home); v >= 0 {
+					pick, at, shared = i, u, v
 					break
 				}
 			}
@@ -100,52 +105,47 @@ func Combine(h *hypergraph.Hypergraph, parts []Part) (*Decomp, error) {
 			}
 		}
 		placed[pick] = true
-		graft(d, parts[pick], shared, support)
+		graft(d, parts[pick], at, shared, home)
 	}
 	return d, nil
 }
 
-// sharedVertex returns a host vertex occurring both in the part's bags
-// and in support, or -1.
-func (p Part) sharedVertex(n int, support hypergraph.VertexSet) int {
+// sharedVertex returns the first of the part's nodes whose bag meets a
+// placed bag, with the least host vertex they share, or -1, -1.
+func (p Part) sharedVertex(home []int) (node, shared int) {
 	for u := range p.D.Nodes {
-		hb := p.hostBag(n, p.D.Nodes[u].Bag)
-		if v := hb.IntersectInPlace(support).First(); v >= 0 {
-			return v
+		shared = -1
+		p.D.Nodes[u].Bag.ForEach(func(v int) bool {
+			if p.VertexMap != nil {
+				v = p.VertexMap[v]
+			}
+			if home[v] >= 0 && (shared < 0 || v < shared) {
+				shared = v
+			}
+			return true
+		})
+		if shared >= 0 {
+			return u, shared
 		}
 	}
-	return -1
+	return -1, -1
 }
 
 // graft adds all nodes of part to d. If shared >= 0, the part is
-// re-rooted at a node whose bag contains shared and attached under a
-// placed node containing shared; otherwise it is attached under the
-// current root (or becomes the root). support is extended with the
-// part's bags.
-func graft(d *Decomp, part Part, shared int, support hypergraph.VertexSet) {
+// re-rooted at its node at, the first whose bag contains shared, and
+// attached under home[shared], the first placed node containing it;
+// otherwise it is attached under the current root (or becomes the
+// root). home is extended with the part's bags.
+func graft(d *Decomp, part Part, at, shared int, home []int) {
 	n := d.H.NumVertices()
 	t := part.D
 	parent := -1
 	if shared >= 0 {
-		// Re-root the part at a node containing the shared vertex.
-		localRoot := -1
-		for u := range t.Nodes {
-			if part.hostBag(n, t.Nodes[u].Bag).Has(shared) {
-				localRoot = u
-				break
-			}
-		}
-		if localRoot != t.Root {
+		if at != t.Root {
 			t = t.Clone()
-			t.RootAt(localRoot)
+			t.RootAt(at)
 		}
-		// Attach under any placed node containing the shared vertex.
-		for u := range d.Nodes {
-			if d.Nodes[u].Bag.Has(shared) {
-				parent = u
-				break
-			}
-		}
+		parent = home[shared]
 	} else if d.Root >= 0 {
 		parent = d.Root
 	}
@@ -154,8 +154,13 @@ func graft(d *Decomp, part Part, shared int, support hypergraph.VertexSet) {
 	rec = func(u, under int) {
 		node := &t.Nodes[u]
 		bag := part.hostBag(n, node.Bag)
-		support.UnionInPlace(bag)
 		id := d.AddNode(under, bag, part.hostCover(node.Cover))
+		bag.ForEach(func(v int) bool {
+			if home[v] < 0 {
+				home[v] = id
+			}
+			return true
+		})
 		for _, c := range node.Children {
 			rec(c, id)
 		}

@@ -16,11 +16,11 @@ import (
 //     dropped edge follows from its superset's bag. For hw, subsumed
 //     edges are kept: removing them can alter the special condition's
 //     edge pool;
-//  3. the instance is split along the biconnected components (blocks) of
-//     its primal graph for ghw/fhw — every hyperedge is a clique of the
-//     primal graph, so it lies in exactly one block — and along connected
-//     components for hw, where the block split lacks the same
-//     width-preservation guarantee.
+//  3. one DFS over the incidence graph splits the kept edges along the
+//     biconnected components (blocks) of the primal graph for ghw/fhw —
+//     every hyperedge is a clique of the primal graph, so it lies in
+//     exactly one block — and along connected components for hw, where
+//     the block split lacks the same width-preservation guarantee.
 //
 // Each piece is solved independently (in parallel) and the per-piece
 // decompositions are recombined by decomp.Combine; the width of the
@@ -90,108 +90,73 @@ func simplify(h *hypergraph.Hypergraph, measure Measure, disabled bool) prep {
 	}
 	// Every dropped edge is a subset of a kept one, so the kept edges
 	// span the same primal graph, and the same components, as h.
-	var pieces []hypergraph.VertexSet
-	if measure == HW {
-		pieces = h.ComponentsOf(nil, covered)
-	} else {
-		pieces = biconnectedBlocks(h, p.kept)
-	}
-	p.blocks = assignEdges(h, p.kept, pieces)
+	p.blocks = split(h, p.kept, measure != HW)
 	return p
 }
 
-// biconnectedBlocks returns the vertex sets of the biconnected
-// components (blocks) of the primal graph of h, which the kept edges
-// span, via the Hopcroft–Tarjan lowlink algorithm with an edge stack.
-// Vertices with no primal neighbours (from singleton edges) form
-// singleton blocks.
-func biconnectedBlocks(h *hypergraph.Hypergraph, kept []int) []hypergraph.VertexSet {
-	n := h.NumVertices()
-	adj := h.AdjacencyMatrix()
-	disc := make([]int, n) // 0 = unvisited; else discovery time + 1
-	low := make([]int, n)
-	time := 0
-	var blocks []hypergraph.VertexSet
-	var estack [][2]int
-
-	popBlock := func(u, v int) {
-		b := hypergraph.NewVertexSet(n)
-		for len(estack) > 0 {
-			e := estack[len(estack)-1]
-			estack = estack[:len(estack)-1]
-			b.Add(e[0])
-			b.Add(e[1])
-			if e[0] == u && e[1] == v {
-				break
-			}
-		}
-		blocks = append(blocks, b)
+// split partitions the kept edges into pieces by one Hopcroft–Tarjan
+// DFS over the incidence graph, whose nodes are the vertices and the
+// kept edges (edge e is node n+e). Without blocks, each DFS tree is a
+// piece: the connected components. With blocks, a piece also closes at
+// a vertex node x whose DFS child y has low[y] ≥ disc[x]. An edge node
+// never closes one, because a hyperedge is a clique of the primal graph
+// and cannot separate its own vertices, so the pieces are exactly the
+// primal graph's biconnected blocks. Pieces come out in the order they
+// close, each with its edges ascending. The cost is linear in the
+// incidence plus the walk over the incidence index.
+func split(h *hypergraph.Hypergraph, kept []int, blocks bool) [][]int {
+	n, m := h.NumVertices(), h.NumEdges()
+	isKept := make([]bool, m)
+	for _, e := range kept {
+		isKept[e] = true
 	}
-
-	var dfs func(v, parent int)
-	dfs = func(v, parent int) {
+	disc := make([]int, n+m) // 0 = unvisited; else discovery time
+	low := make([]int, n+m)
+	piece := make([]int, m)
+	var open []int // edges of the pieces not closed yet, in discovery order
+	pieces, time := 0, 0
+	closeFrom := func(mark int) {
+		for _, e := range open[mark:] {
+			piece[e] = pieces
+		}
+		open = open[:mark]
+		pieces++
+	}
+	var dfs func(x, parent int)
+	dfs = func(x, parent int) {
 		time++
-		disc[v], low[v] = time, time
-		adj[v].ForEach(func(u int) bool {
-			if disc[u] == 0 {
-				estack = append(estack, [2]int{v, u})
-				dfs(u, v)
-				if low[u] < low[v] {
-					low[v] = low[u]
+		disc[x], low[x] = time, time
+		visit := func(y int) bool {
+			if disc[y] == 0 {
+				mark := len(open)
+				dfs(y, x)
+				low[x] = min(low[x], low[y])
+				if blocks && x < n && low[y] >= disc[x] {
+					closeFrom(mark)
 				}
-				if low[u] >= disc[v] {
-					popBlock(v, u) // v is an articulation point (or the root)
-				}
-			} else if u != parent && disc[u] < disc[v] {
-				estack = append(estack, [2]int{v, u})
-				if disc[u] < low[v] {
-					low[v] = disc[u]
-				}
+			} else if y != parent {
+				low[x] = min(low[x], disc[y])
 			}
 			return true
+		}
+		if x >= n {
+			open = append(open, x-n)
+			h.Edge(x - n).ForEach(visit)
+			return
+		}
+		h.IncidentEdges(x).ForEach(func(e int) bool {
+			return !isKept[e] || visit(n+e)
 		})
 	}
-
 	for _, e := range kept {
-		h.Edge(e).ForEach(func(v int) bool {
-			if disc[v] == 0 {
-				if adj[v].IsEmpty() {
-					disc[v] = -1 // mark handled
-					blocks = append(blocks, hypergraph.SetOf(v))
-					return true
-				}
-				dfs(v, -1)
-			}
-			return true
-		})
-	}
-	return blocks
-}
-
-// assignEdges distributes the kept edges over the pieces: each edge goes
-// to the first piece containing all of its vertices. An edge fitting no
-// piece (which a correct split never produces) defensively becomes its
-// own piece so no edge is ever dropped from the solve.
-func assignEdges(h *hypergraph.Hypergraph, kept []int, pieces []hypergraph.VertexSet) [][]int {
-	buckets := make([][]int, len(pieces))
-	for _, e := range kept {
-		placed := false
-		for i, p := range pieces {
-			if h.Edge(e).IsSubsetOf(p) {
-				buckets[i] = append(buckets[i], e)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			buckets = append(buckets, []int{e})
+		if disc[n+e] == 0 {
+			dfs(n+e, -1)
+			closeFrom(0)
 		}
 	}
-	var out [][]int
-	for _, b := range buckets {
-		if len(b) > 0 {
-			out = append(out, b)
-		}
+	out := make([][]int, pieces)
+	for _, e := range kept {
+		out[piece[e]] = append(out[piece[e]], e)
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 // Package solve orchestrates the paper's decomposition algorithms into
 // an end-to-end width service: a preprocessing pipeline (drop empty /
-// duplicate / subsumed edges, split on biconnected components of the
-// primal graph), a concurrent portfolio that races bounded strategies —
+// duplicate / subsumed edges, then one DFS over the incidence graph
+// splits on the biconnected components of the primal graph, or on
+// connected components for hw), a concurrent portfolio that races
+// bounded strategies —
 // clique lower bounds, iterative deepening on Check(HD,k) and
 // Check(GHD,k)-via-BIP starting at the clique bound, the SAT ordering
 // encoding (LP-priced for fhw), min-fill upper bounds and a budgeted

@@ -2,8 +2,11 @@ package solve
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,15 +164,134 @@ func TestPreprocessInvariance(t *testing.T) {
 	}
 }
 
+// TestBiconnectedSplit pins the pieces of small shapes: under ghw (and
+// fhw) the primal graph's biconnected blocks, under hw its connected
+// components. Each piece is written as its edge names, ascending.
 func TestBiconnectedSplit(t *testing.T) {
-	// Two triangles sharing exactly one vertex: two blocks.
-	h := hypergraph.MustParse("a1(x,y), a2(y,z), a3(z,x), b1(x,u), b2(u,w), b3(w,x)")
-	p := simplify(h, GHW, false)
-	if len(p.blocks) != 2 {
-		t.Fatalf("blocks = %d, want 2", len(p.blocks))
+	for _, tc := range []struct {
+		name, h string
+		ghw, hw []string
+	}{
+		{"path", "e1(a,b), e2(b,c), e3(c,d)",
+			[]string{"e1", "e2", "e3"}, []string{"e1 e2 e3"}},
+		{"star", "e1(c,a), e2(c,b), e3(c,d)",
+			[]string{"e1", "e2", "e3"}, []string{"e1 e2 e3"}},
+		{"one-hyperedge", "e1(a,b,c)",
+			[]string{"e1"}, []string{"e1"}},
+		{"pendant-triangle", "t1(a,b), t2(b,c), t3(c,a), p1(a,x), p2(b,y), p3(c,z)",
+			[]string{"p1", "p2", "p3", "t1 t2 t3"}, []string{"t1 t2 t3 p1 p2 p3"}},
+		{"two-triangles", "a1(x,y), a2(y,z), a3(z,x), b1(x,u), b2(u,w), b3(w,x)",
+			[]string{"a1 a2 a3", "b1 b2 b3"}, []string{"a1 a2 a3 b1 b2 b3"}},
+		{"isolated-singleton", "e1(a,b), e2(b,c), s(z)",
+			[]string{"e1", "e2", "s"}, []string{"e1 e2", "s"}},
+	} {
+		h := hypergraph.MustParse(tc.h)
+		for _, m := range []Measure{GHW, HW} {
+			want := tc.ghw
+			if m == HW {
+				want = tc.hw
+			}
+			var got []string
+			for _, es := range simplify(h, m, false).blocks {
+				var names []string
+				for _, e := range es {
+					names = append(names, h.EdgeName(e))
+				}
+				got = append(got, strings.Join(names, " "))
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s %v: pieces %q, want %q", tc.name, m, got, want)
+			}
+		}
 	}
-	if len(p.blocks[0])+len(p.blocks[1]) != 6 {
-		t.Fatalf("edge assignment lost edges: %v", p.blocks)
+}
+
+// TestSplitProperties checks the split of random hypergraphs of at most
+// 14 vertices against independent definitions: the pieces partition the
+// kept edges, ascending inside each piece; under hw they are
+// vertex-disjoint and connected; under ghw a piece of two or more edges
+// has no cut vertex (one [{v}]-component for every vertex v); two pieces
+// share at most one vertex, and pieces joined through shared vertices
+// form a forest.
+func TestSplitProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 1500; trial++ {
+		n := 1 + rng.Intn(14)
+		h := hypergraph.New()
+		for e, m := 0, 1+rng.Intn(2*n); e < m; e++ {
+			var vs []string
+			for i, k := 0, 1+rng.Intn(min(n, 4)); i < k; i++ {
+				vs = append(vs, fmt.Sprintf("v%d", rng.Intn(n)))
+			}
+			h.AddEdge("", vs...)
+		}
+		for _, m := range []Measure{HW, GHW} {
+			p := simplify(h, m, false)
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("trial %d %v on %s, pieces %v: %s", trial, m, h, p.blocks, fmt.Sprintf(format, args...))
+			}
+			var all []int
+			verts := make([]hypergraph.VertexSet, len(p.blocks))
+			for i, es := range p.blocks {
+				if !slices.IsSorted(es) {
+					fail("piece %d not ascending", i)
+				}
+				all = append(all, es...)
+				verts[i] = h.UnionOfEdges(es)
+				bh, _, _ := h.ExtractEdges(es)
+				if m == HW && !bh.IsConnected() {
+					fail("piece %d not connected", i)
+				}
+				if m == GHW && len(es) > 1 {
+					for v := 0; v < bh.NumVertices(); v++ {
+						if c := bh.ComponentsOf(hypergraph.SetOf(v), nil); len(c) != 1 {
+							fail("piece %d has cut vertex %s", i, bh.VertexName(v))
+						}
+					}
+				}
+			}
+			slices.Sort(all)
+			if !slices.Equal(all, p.kept) {
+				fail("pieces hold edges %v, kept %v", all, p.kept)
+			}
+			// Union-find over pieces (0..len-1) and shared vertices
+			// (len+v): a repeated union closes a cycle.
+			parent := make([]int, len(verts)+n)
+			for i := range parent {
+				parent[i] = i
+			}
+			var find func(x int) int
+			find = func(x int) int {
+				if parent[x] != x {
+					parent[x] = find(parent[x])
+				}
+				return parent[x]
+			}
+			for i := range verts {
+				for j := i + 1; j < len(verts); j++ {
+					common := verts[i].Intersect(verts[j]).Count()
+					if common > 1 || (m == HW && common > 0) {
+						fail("pieces %d and %d share %d vertices", i, j, common)
+					}
+				}
+				verts[i].ForEach(func(v int) bool {
+					shared := false
+					for j := range verts {
+						shared = shared || (j != i && verts[j].Has(v))
+					}
+					if shared {
+						a, b := find(i), find(len(verts)+v)
+						if a == b {
+							fail("pieces through vertex %s close a cycle", h.VertexName(v))
+						}
+						parent[a] = b
+					}
+					return true
+				})
+			}
+		}
 	}
 }
 
