@@ -223,7 +223,7 @@ func TestToFNFOnPathDecomposition(t *testing.T) {
 	}
 }
 
-func TestPathBetweenAndRootAt(t *testing.T) {
+func TestPathBetween(t *testing.T) {
 	h := hypergraph.ExampleH0()
 	d := Figure6aGHD(h)
 	// Path from u2 (node 2) to w (node 4): u2,u1,u0,u',w.
@@ -236,13 +236,6 @@ func TestPathBetweenAndRootAt(t *testing.T) {
 		if p[i] != want[i] {
 			t.Fatalf("path = %v, want %v", p, want)
 		}
-	}
-	d.RootAt(2)
-	if d.Root != 2 || d.Nodes[2].Parent != -1 {
-		t.Fatal("RootAt failed")
-	}
-	if err := d.Validate(GHD); err != nil {
-		t.Fatalf("re-rooted decomposition invalid: %v", err)
 	}
 }
 

@@ -12,16 +12,26 @@ import (
 // The solve pipeline splits a hypergraph on the biconnected components
 // (blocks) of its primal graph, decomposes each block independently, and
 // glues the per-block trees back together. Two blocks share at most one
-// vertex (a cut vertex of the primal graph), so the glue step is: re-root
-// the incoming tree at a node whose bag contains the shared vertex and
-// attach it under an already-placed node whose bag also contains it. The
-// connectedness condition (2) survives because the shared vertex's nodes
-// in both trees are subtrees that become adjacent, and no other vertex
-// occurs on both sides. Conditions (1) and (3) are per-node and per-edge,
-// so they survive trivially; the special condition (4) survives because
-// the only vertex of the grafted subtree that occurs in the host's
-// λ-labels is the shared one, and it already lay in the host's subtree
-// at the attachment point.
+// vertex (a cut vertex of the primal graph), and the split hands them
+// over parent-first in the block-cut forest: each block meets the blocks
+// before it in at most one vertex. So the glue step places the parts in
+// the order given: copy the incoming tree starting from a node whose bag
+// contains the shared vertex, walking its tree edges in both directions
+// (which re-roots it there), and attach that node under an
+// already-placed node whose bag also contains the vertex. The
+// connectedness condition (2) survives because the shared vertex's
+// nodes in both trees are subtrees that become adjacent, and no other
+// vertex occurs on both sides. Conditions (1) and (3) are per-node and
+// per-edge, so they survive trivially. The special condition (4)
+// survives when each part keeps its own root — a part sharing no vertex
+// (a separate connected component) always does — because the only
+// vertex of the grafted subtree that occurs in the host's λ-labels is
+// the shared one, and it already lay in the host's subtree at the
+// attachment point; re-rooting an HD elsewhere may break it.
+//
+// A part that meets the placed parts in two or more vertices came out
+// of order: no single attachment keeps both vertices connected, so
+// Combine returns an error rather than an invalid witness.
 
 // Part is one piece of a stitched decomposition: a decomposition of a
 // sub-hypergraph of the host hypergraph, together with the maps from the
@@ -59,14 +69,17 @@ func (p Part) hostCover(c cover.Fractional) cover.Fractional {
 }
 
 // Combine stitches decompositions of edge-disjoint sub-hypergraphs of h
-// into one decomposition of h. Parts are placed in connectivity order:
-// each new part that shares a vertex with the already-placed forest is
-// re-rooted at a node whose bag contains that vertex and grafted under a
-// placed node containing it; parts sharing nothing (separate connected
-// components) are grafted under the current root. For parts arising from
-// a block decomposition (pairwise sharing at most one cut vertex) the
-// result satisfies every condition the parts satisfy — TD, FHD, GHD and
-// HD alike — and its width is the maximum of the part widths.
+// into one decomposition of h, placing the parts in the order given.
+// Each part must meet the parts before it in at most one host vertex,
+// as the blocks of a block decomposition do when listed parent-first in
+// the block-cut forest. A part sharing vertex v is copied from its first
+// node whose bag contains v and attached under the first placed node
+// containing v; a part sharing nothing (a separate connected component)
+// is attached under the current root. A part meeting the earlier parts
+// in two or more vertices is an error. The result satisfies every
+// condition the parts satisfy — TD, FHD and GHD alike, and HD when no
+// part is attached away from its root — and its width is the maximum of
+// the part widths.
 func Combine(h *hypergraph.Hypergraph, parts []Part) (*Decomp, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("decomp: Combine needs at least one part")
@@ -76,82 +89,65 @@ func Combine(h *hypergraph.Hypergraph, parts []Part) (*Decomp, error) {
 			return nil, fmt.Errorf("decomp: Combine part %d is empty", i)
 		}
 	}
-	n := h.NumVertices()
 	d := New(h)
 	// home[v] is the first placed node whose bag contains host vertex v,
 	// or -1: the attachment point for a later part sharing v.
-	home := make([]int, n)
+	home := make([]int, h.NumVertices())
 	for v := range home {
 		home[v] = -1
 	}
-	placed := make([]bool, len(parts))
-	for remaining := len(parts); remaining > 0; remaining-- {
-		// Pick the next part: prefer one sharing a vertex with the
-		// placed forest, so chains of blocks attach in block-cut-tree
-		// order regardless of input order.
-		pick, at, shared := -1, -1, -1
-		for i, p := range parts {
-			if placed[i] {
-				continue
-			}
-			if d.Root >= 0 {
-				if u, v := p.sharedVertex(home); v >= 0 {
-					pick, at, shared = i, u, v
-					break
-				}
-			}
-			if pick < 0 {
-				pick = i
-			}
+	for i, p := range parts {
+		at, shared, err := p.sharedVertex(home)
+		if err != nil {
+			return nil, fmt.Errorf("decomp: Combine part %d: %w", i, err)
 		}
-		placed[pick] = true
-		graft(d, parts[pick], at, shared, home)
+		under := d.Root
+		if shared >= 0 {
+			under = home[shared]
+		}
+		graft(d, p, at, under, home)
 	}
 	return d, nil
 }
 
-// sharedVertex returns the first of the part's nodes whose bag meets a
-// placed bag, with the least host vertex they share, or -1, -1.
-func (p Part) sharedVertex(home []int) (node, shared int) {
+// sharedVertex returns the part's first node whose bag holds a placed
+// host vertex, with that vertex, or the part's root and -1 when it meets
+// no placed bag. It is an error for the part to meet the placed bags in
+// two or more vertices.
+func (p Part) sharedVertex(home []int) (node, shared int, err error) {
+	node, shared = p.D.Root, -1
 	for u := range p.D.Nodes {
-		shared = -1
 		p.D.Nodes[u].Bag.ForEach(func(v int) bool {
 			if p.VertexMap != nil {
 				v = p.VertexMap[v]
 			}
-			if home[v] >= 0 && (shared < 0 || v < shared) {
-				shared = v
+			switch {
+			case home[v] < 0 || v == shared:
+			case shared < 0:
+				node, shared = u, v
+			default:
+				err = fmt.Errorf("meets the parts before it in vertices %d and %d; parts must come parent-first",
+					min(v, shared), max(v, shared))
+				return false
 			}
 			return true
 		})
-		if shared >= 0 {
-			return u, shared
+		if err != nil {
+			return -1, -1, err
 		}
 	}
-	return -1, -1
+	return node, shared, nil
 }
 
-// graft adds all nodes of part to d. If shared >= 0, the part is
-// re-rooted at its node at, the first whose bag contains shared, and
-// attached under home[shared], the first placed node containing it;
-// otherwise it is attached under the current root (or becomes the
-// root). home is extended with the part's bags.
-func graft(d *Decomp, part Part, at, shared int, home []int) {
+// graft adds all nodes of part to d: a copy of the part's tree that
+// starts at its node at, attached under the placed node under (-1 makes
+// it the root), and walks tree edges in both directions, so the copy is
+// rooted at at. home is extended with the part's bags.
+func graft(d *Decomp, part Part, at, under int, home []int) {
 	n := d.H.NumVertices()
 	t := part.D
-	parent := -1
-	if shared >= 0 {
-		if at != t.Root {
-			t = t.Clone()
-			t.RootAt(at)
-		}
-		parent = home[shared]
-	} else if d.Root >= 0 {
-		parent = d.Root
-	}
-	// Pre-order copy, translating bags and covers.
-	var rec func(u, under int)
-	rec = func(u, under int) {
+	var rec func(u, from, under int)
+	rec = func(u, from, under int) {
 		node := &t.Nodes[u]
 		bag := part.hostBag(n, node.Bag)
 		id := d.AddNode(under, bag, part.hostCover(node.Cover))
@@ -162,8 +158,13 @@ func graft(d *Decomp, part Part, at, shared int, home []int) {
 			return true
 		})
 		for _, c := range node.Children {
-			rec(c, id)
+			if c != from {
+				rec(c, u, id)
+			}
+		}
+		if node.Parent >= 0 && node.Parent != from {
+			rec(node.Parent, u, id)
 		}
 	}
-	rec(t.Root, parent)
+	rec(at, -1, under)
 }

@@ -35,6 +35,32 @@ func TestCombineSharedVertex(t *testing.T) {
 	}
 }
 
+func TestCombineAttachesAtSharedNode(t *testing.T) {
+	// The second part is a path of three nodes rooted at {y,z}; it meets
+	// the first part in c, which only its leaf {c,x} holds. The copy
+	// must start at that leaf, hang it under the first part's node and
+	// keep every node of the part.
+	h := hypergraph.MustParse("e1(a,b,c), e2(c,x), e3(x,y), e4(y,z)")
+	sub, vmap, emap := h.ExtractEdges([]int{1, 2, 3})
+	chain := New(sub)
+	top := chain.AddNode(-1, sub.Edge(2), cover.Fractional{2: lp.RI(1)})
+	mid := chain.AddNode(top, sub.Edge(1), cover.Fractional{1: lp.RI(1)})
+	chain.AddNode(mid, sub.Edge(0), cover.Fractional{0: lp.RI(1)})
+	d, err := Combine(h, []Part{onePart(t, h, 0), {D: chain, VertexMap: vmap, EdgeMap: emap}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NumNodes() != 4 {
+		t.Fatalf("nodes = %d, want 4", d.NumNodes())
+	}
+	if c, _ := h.VertexID("c"); d.Nodes[1].Parent != 0 || !d.Nodes[1].Bag.Has(c) {
+		t.Fatalf("node 1 = %v under %d, want the {c,x} node under node 0", d.Nodes[1].Bag, d.Nodes[1].Parent)
+	}
+	if err := d.Validate(GHD); err != nil {
+		t.Fatalf("stitched decomposition invalid: %v", err)
+	}
+}
+
 func TestCombineDisconnected(t *testing.T) {
 	h := hypergraph.MustParse("e1(a,b), e2(c,d)")
 	d, err := Combine(h, []Part{onePart(t, h, 0), onePart(t, h, 1)})
@@ -47,11 +73,15 @@ func TestCombineDisconnected(t *testing.T) {
 }
 
 func TestCombineChainOutOfOrder(t *testing.T) {
-	// Three blocks in a chain B1 -c- B2 -e- B3, supplied with the middle
-	// block last: Combine must place it in connectivity order, or vertex
-	// c (or e) would induce a disconnected node set.
+	// Three blocks in a chain B1 -c- B2 -e- B3. With the middle block
+	// last it meets the placed parts in c and e: Combine must refuse,
+	// or one of them would induce a disconnected node set. In
+	// parent-first order the chain validates.
 	h := hypergraph.MustParse("e1(a,b,c), e2(c,d,e), e3(e,f,g)")
-	d, err := Combine(h, []Part{onePart(t, h, 0), onePart(t, h, 2), onePart(t, h, 1)})
+	if d, err := Combine(h, []Part{onePart(t, h, 0), onePart(t, h, 2), onePart(t, h, 1)}); err == nil {
+		t.Fatalf("middle block last: want error, got %d nodes", d.NumNodes())
+	}
+	d, err := Combine(h, []Part{onePart(t, h, 0), onePart(t, h, 1), onePart(t, h, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,22 +260,3 @@ func (d *Decomp) compact() {
 	d.Nodes = nodes
 	d.Root = 0
 }
-
-// RootAt re-roots the decomposition at node u (GHDs and FHDs are
-// unrooted in spirit; the root is a convention).
-func (d *Decomp) RootAt(u int) {
-	// Reverse parent pointers along the path from u to the old root.
-	var path []int
-	for n := u; n >= 0; n = d.Nodes[n].Parent {
-		path = append(path, n)
-	}
-	for i := len(path) - 1; i > 0; i-- {
-		parent, child := path[i], path[i-1]
-		// parent currently has child in Children; reverse the edge.
-		d.detach(child)
-		d.Nodes[parent].Parent = child
-		d.Nodes[child].Children = append(d.Nodes[child].Children, parent)
-	}
-	d.Nodes[u].Parent = -1
-	d.Root = u
-}

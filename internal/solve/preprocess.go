@@ -23,8 +23,9 @@ import (
 //     the block split lacks the same width-preservation guarantee.
 //
 // Each piece is solved independently (in parallel) and the per-piece
-// decompositions are recombined by decomp.Combine; the width of the
-// whole is the maximum over the pieces.
+// decompositions are recombined by decomp.Combine, in the split's
+// parent-first order; the width of the whole is the maximum over the
+// pieces.
 
 // prep is the result of the simplification pipeline: which edges of the
 // input survive, and how they partition into independently solvable
@@ -101,9 +102,16 @@ func simplify(h *hypergraph.Hypergraph, measure Measure, disabled bool) prep {
 // a vertex node x whose DFS child y has low[y] ≥ disc[x]. An edge node
 // never closes one, because a hyperedge is a clique of the primal graph
 // and cannot separate its own vertices, so the pieces are exactly the
-// primal graph's biconnected blocks. Pieces come out in the order they
-// close, each with its edges ascending. The cost is linear in the
-// incidence plus the walk over the incidence index.
+// primal graph's biconnected blocks. Each piece keeps its edges
+// ascending.
+//
+// Pieces come out parent-first, the reverse of the order they close. A
+// DFS tree is rooted at an edge node, so a piece closing at x attaches
+// at x to a piece that closes later: in reverse order, every piece
+// after the first of its component meets the pieces before it in
+// exactly x, and pieces of different components meet in nothing. That
+// is the order decomp.Combine stitches in. The cost is linear in the
+// incidence plus the walk over each vertex's m-bit EdgeSet, O(n·m/64).
 func split(h *hypergraph.Hypergraph, kept []int, blocks bool) [][]int {
 	n, m := h.NumVertices(), h.NumEdges()
 	isKept := make([]bool, m)
@@ -156,7 +164,8 @@ func split(h *hypergraph.Hypergraph, kept []int, blocks bool) [][]int {
 	}
 	out := make([][]int, pieces)
 	for _, e := range kept {
-		out[piece[e]] = append(out[piece[e]], e)
+		i := pieces - 1 - piece[e]
+		out[i] = append(out[i], e)
 	}
 	return out
 }

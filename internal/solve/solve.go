@@ -135,7 +135,7 @@ type Result struct {
 	// hypergraphs.
 	Witness *decomp.Decomp
 	// Strategy names the portfolio strategy that produced the witness
-	// of the widest block.
+	// of the widest block, the first in split order on a tie.
 	Strategy string
 	// Provenance classifies the guarantee behind Upper: ProvExact when
 	// Exact, ProvHeuristic otherwise.
@@ -368,11 +368,7 @@ func (s *Solver) solve(ctx context.Context, h *hypergraph.Hypergraph, opt Option
 	for i, es := range p.blocks {
 		pieces[i].bh, pieces[i].vmap, pieces[i].emap = h.ExtractEdges(es)
 	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, s.workers)
 	var wg sync.WaitGroup
 	for i := range pieces {
 		wg.Add(1)

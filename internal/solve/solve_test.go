@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hypertree/internal/core"
+	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/lp"
 )
@@ -213,7 +214,9 @@ func TestBiconnectedSplit(t *testing.T) {
 // vertex-disjoint and connected; under ghw a piece of two or more edges
 // has no cut vertex (one [{v}]-component for every vertex v); two pieces
 // share at most one vertex, and pieces joined through shared vertices
-// form a forest.
+// form a forest. The pieces come parent-first: each meets the union of
+// the pieces before it in at most one vertex, and decomp.Combine of the
+// trivial per-piece witnesses, in split order, validates.
 func TestSplitProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 1500; trial++ {
@@ -291,8 +294,82 @@ func TestSplitProperties(t *testing.T) {
 					return true
 				})
 			}
+			before := hypergraph.NewVertexSet(n)
+			for i := range p.blocks {
+				if c := verts[i].IntersectionCount(before); c > 1 {
+					fail("piece %d meets the pieces before it in %d vertices", i, c)
+				}
+				before = before.UnionInPlace(verts[i])
+			}
+			d, err := decomp.Combine(h, trivialParts(h, p.blocks))
+			if err != nil {
+				fail("stitching in split order: %v", err)
+			}
+			if err := d.Validate(m.Kind()); err != nil {
+				fail("stitched witness invalid: %v", err)
+			}
 		}
 	}
+}
+
+// trivialParts returns the one-node trivialDecomp witness of each piece
+// as a part for decomp.Combine.
+func trivialParts(h *hypergraph.Hypergraph, pieces [][]int) []decomp.Part {
+	parts := make([]decomp.Part, len(pieces))
+	for i, es := range pieces {
+		bh, vmap, emap := h.ExtractEdges(es)
+		parts[i] = decomp.Part{D: trivialDecomp(bh), VertexMap: vmap, EdgeMap: emap}
+	}
+	return parts
+}
+
+// FuzzStitch: for any hypergraph of at most 12 vertices, under hw and
+// ghw, decomp.Combine of the trivial per-piece witnesses in split order
+// validates; in an order drawn from the fuzz bytes it either refuses or
+// returns a witness that validates, never an invalid one.
+func FuzzStitch(f *testing.F) {
+	f.Add([]byte{6, 0, 1, 1, 1, 2, 1, 0, 2, 3, 1, 4, 1, 5, 1})
+	f.Add([]byte{7, 0, 3, 2, 1, 3, 1, 4, 3, 6, 1, 0, 9})
+	f.Add([]byte{12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 5, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		// Each pair of bytes after the first is an edge: a start vertex
+		// and a membership mask over the next vertices.
+		n := 1 + int(data[0])%12
+		h := hypergraph.New()
+		rest := data[1:]
+		for i := 0; i+1 < len(rest) && h.NumEdges() < 16; i += 2 {
+			vs := []string{fmt.Sprintf("v%d", int(rest[i])%n)}
+			for j := 0; j < 8; j++ {
+				if rest[i+1]&(1<<j) != 0 {
+					vs = append(vs, fmt.Sprintf("v%d", (int(rest[i])+j+1)%n))
+				}
+			}
+			h.AddEdge("", vs...)
+		}
+		for _, m := range []Measure{HW, GHW} {
+			blocks := simplify(h, m, false).blocks
+			parts := trivialParts(h, blocks)
+			d, err := decomp.Combine(h, parts)
+			if err != nil {
+				t.Fatalf("%v on %s, pieces %v: split order: %v", m, h, blocks, err)
+			}
+			if err := d.Validate(m.Kind()); err != nil {
+				t.Fatalf("%v on %s, pieces %v: split order: %v", m, h, blocks, err)
+			}
+			for i := len(parts) - 1; i > 0; i-- {
+				j := int(data[i%len(data)]) % (i + 1)
+				parts[i], parts[j] = parts[j], parts[i]
+			}
+			if d, err := decomp.Combine(h, parts); err == nil {
+				if err := d.Validate(m.Kind()); err != nil {
+					t.Fatalf("%v on %s: permuted order stitched an invalid witness: %v", m, h, err)
+				}
+			}
+		}
+	})
 }
 
 func TestEmptyAndTrivial(t *testing.T) {
